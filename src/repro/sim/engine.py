@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.sim.events import Event, EventType
@@ -24,6 +25,10 @@ def _batch_tolerance(t: float) -> float:
     behaviour at ordinary trace times is unchanged.
     """
     return max(1e-9, 4.0 * math.ulp(t))
+
+
+#: priority order inside one same-instant batch (see ``events.py``)
+_BATCH_ORDER = attrgetter("type", "seq")
 
 
 class EventQueue:
@@ -75,7 +80,10 @@ class EventQueue:
         The scheduler runs once per batch, after all state changes at that
         instant have been applied.  Same-instant grouping uses a
         ULP-relative tolerance (:func:`_batch_tolerance`) so batches are
-        not split at large simulation times.
+        not split at large simulation times.  The heap orders by time
+        first, so a batch spanning a few ULPs is re-sorted by
+        ``(type, seq)`` — a finish a hair after a submit still runs
+        first — and the clock is pinned to the batch's first time.
 
         *out*, when given, is cleared and reused as the batch list — the
         simulator's main loop passes the same list every iteration so the
@@ -92,6 +100,9 @@ class EventQueue:
         tol = _batch_tolerance(t)
         while self._heap and self._heap[0].time - t <= tol:
             batch.append(self.pop())
+        if len(batch) > 1:
+            batch.sort(key=_BATCH_ORDER)
+            self._now = t
         return batch
 
     def counts_by_type(self) -> Dict[str, int]:

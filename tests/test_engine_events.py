@@ -86,3 +86,28 @@ class TestBatching:
         q.push(1.0, EventType.JOB_SUBMIT)
         assert q.peek().time == 1.0
         assert len(q) == 1
+
+
+class TestBatchPriority:
+    def test_finish_a_hair_after_submit_runs_first(self):
+        # the heap orders by time first, so without the batch re-sort the
+        # submit at t pops before the finish at t + 1e-8 in one batch
+        q = EventQueue()
+        t = 1.0e8
+        q.push(t + 1e-8, EventType.JOB_FINISH, tag="f")
+        q.push(t, EventType.JOB_SUBMIT, tag="s")
+        batch = q.pop_batch()
+        assert [ev.payload["tag"] for ev in batch] == ["f", "s"]
+        # the clock stays at the batch's first time, not the later one
+        assert q.now == t
+
+    def test_batch_sorted_by_type_then_seq(self):
+        q = EventQueue()
+        t = 3.0e8
+        q.push(t, EventType.JOB_SUBMIT, tag="s1")
+        q.push(t + 1e-8, EventType.ADVANCE_NOTICE, tag="n")
+        q.push(t + 2e-8, EventType.JOB_SUBMIT, tag="s2")
+        q.push(t + 2e-8, EventType.JOB_FINISH, tag="f")
+        batch = q.pop_batch()
+        assert [ev.payload["tag"] for ev in batch] == ["f", "n", "s1", "s2"]
+        assert q.now == t
