@@ -20,6 +20,7 @@ reserved-idle loans are an EASY-specific device and are not used here.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from repro.jobs.job import Job
@@ -51,9 +52,27 @@ class ConservativeBackfillPlanner:
     ) -> List[StartDecision]:
         now = profile.now
         working = profile.build_profile()
+        avail = working.avail
+        # Capacity cutoff.  Every breakpoint past segment 0 lies strictly
+        # after now + EPS (``from_sorted`` folds releases at or before
+        # that into segment 0, and ``_insert_breakpoint`` ignores times
+        # within EPS of ``times[0]``), so a start at or before now + EPS
+        # can only come from segment 0, which needs ``avail[0] >= size``.
+        # ``reserve`` only ever lowers ``avail[0]``.  Once it drops below
+        # the smallest size still to come, no later job can start now,
+        # and the reservations they would make can only move the
+        # reservations of jobs that are themselves past the cutoff — so
+        # stopping there yields exactly the decisions of a full pass.
+        # need_after[i]: smallest size among ordered_queue[i:]
+        need_after = list(
+            accumulate((job.size for job in reversed(ordered_queue)), min)
+        )
+        need_after.reverse()
         decisions: List[StartDecision] = []
         blocked_seen = False
-        for job in ordered_queue:
+        for i, job in enumerate(ordered_queue):
+            if avail[0] < need_after[i]:
+                break
             nodes = job.size
             wall = predict_wall(job, nodes)
             start = working.earliest_start(nodes, wall)

@@ -323,18 +323,21 @@ class AvailabilityProfile:
 
     def earliest_start(self, nodes: int, duration: float) -> float:
         """Earliest time *nodes* nodes stay free for *duration* seconds."""
+        times = self.times
+        avail = self.avail
+        n = len(times)
         i = 0
-        while i < len(self.times):
-            if self.avail[i] < nodes:
+        while i < n:
+            if avail[i] < nodes:
                 i += 1
                 continue
-            start = self.times[i]
+            start = times[i]
             end = start + duration
             # check the window [start, end) stays above `nodes`
             j = i + 1
             ok = True
-            while j < len(self.times) and self.times[j] < end - EPS:
-                if self.avail[j] < nodes:
+            while j < n and times[j] < end - EPS:
+                if avail[j] < nodes:
                     ok = False
                     break
                 j += 1
@@ -346,17 +349,25 @@ class AvailabilityProfile:
         )
 
     def reserve(self, start: float, duration: float, nodes: int) -> None:
-        """Subtract *nodes* over [start, start+duration)."""
+        """Subtract *nodes* over [start, start+duration).
+
+        Touches only the segments whose start time ``t`` satisfies
+        ``start - EPS <= t < end - EPS``; on the sorted ``times`` that
+        is one contiguous index range, found by bisection.
+        """
         end = start + duration
         self._insert_breakpoint(start)
         self._insert_breakpoint(end)
-        for i, t in enumerate(self.times):
-            if start - EPS <= t < end - EPS:
-                self.avail[i] -= nodes
-                if self.avail[i] < 0:
-                    raise AssertionError(
-                        f"profile went negative at t={t}: {self.avail[i]}"
-                    )
+        times = self.times
+        avail = self.avail
+        for i in range(
+            bisect_left(times, start - EPS), bisect_left(times, end - EPS)
+        ):
+            avail[i] -= nodes
+            if avail[i] < 0:
+                raise AssertionError(
+                    f"profile went negative at t={times[i]}: {avail[i]}"
+                )
 
     def _insert_breakpoint(self, t: float) -> None:
         if t <= self.times[0] + EPS:

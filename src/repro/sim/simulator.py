@@ -31,11 +31,14 @@ import math
 import threading
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.coordinator import HybridCoordinator
 from repro.obs import get_obs
 from repro.core.mechanisms import Mechanism
+from repro.core.reservation import Reservation
 from repro.jobs.job import Job, JobState, JobType, NoticeClass
 from repro.jobs.malleable_exec import MalleableExecution
 from repro.jobs.rigid_exec import RigidExecution, RigidTimeline
@@ -337,6 +340,10 @@ class Simulation:
         self.queue: List[Job] = []
         self.running: Dict[int, RunningJob] = {}
         self._executions: Dict[int, Execution] = {}
+        #: job_id -> (nodes, predicted wall) for queued jobs; a queued
+        #: job's execution state is frozen, so one prediction serves
+        #: every pass until the job starts (see _predict_wall)
+        self._wall_memo: Dict[int, Tuple[int, float]] = {}
         self._epochs: Dict[int, int] = {}
         self._events_processed = 0
         self._schedule_passes = 0
@@ -506,6 +513,7 @@ class Simulation:
         """
         self.jobs_by_id.pop(job_id, None)
         self._executions.pop(job_id, None)
+        self._wall_memo.pop(job_id, None)
         self._epochs.pop(job_id, None)
 
     # ------------------------------------------------------------------
@@ -586,6 +594,7 @@ class Simulation:
             raise SimulationError(
                 f"job {job.job_id} started while not in the wait queue"
             ) from exc
+        self._wall_memo.pop(job.job_id, None)
         t = self.now
         self.cluster.start_job(job.job_id, nodes)
         if loans:
@@ -884,7 +893,24 @@ class Simulation:
     # Scheduling pass
     # ------------------------------------------------------------------
     def _predict_wall(self, job: Job, nodes: int) -> float:
-        """Estimated wall-clock duration of *job* if started now on *nodes*."""
+        """Estimated wall-clock duration of *job* if started now on *nodes*.
+
+        Planners only ask about queued jobs, and a queued job's execution
+        state (completed work, remaining work) cannot change until it
+        starts, so the prediction is memoized per job and dropped when
+        the job starts or retires.  A preempted job re-enters the queue
+        after that drop and gets a fresh prediction from its retained
+        progress.
+        """
+        hit = self._wall_memo.get(job.job_id)
+        if hit is not None and hit[0] == nodes:
+            return hit[1]
+        wall = self._compute_wall(job, nodes)
+        self._wall_memo[job.job_id] = (nodes, wall)
+        return wall
+
+    def _compute_wall(self, job: Job, nodes: int) -> float:
+        """:meth:`_predict_wall` without the memo."""
         ex = self._executions.get(job.job_id)
         if job.is_malleable:
             pad = (job.estimate - job.runtime) * job.size
@@ -908,15 +934,15 @@ class Simulation:
         )
         return tl.wall_for_work(est_total)
 
-    def _reservation_blocks(self) -> List:
+    def _reservation_blocks(self, active: Sequence[Reservation]) -> List:
         """Reservation pseudo-blocks: held nodes release when the owning
-        on-demand job is predicted to finish.  Recomputed per pass (the
-        release time of an *arrived* reservation tracks ``now``) into a
-        single reused list; active reservations are few, so this overlay
-        stays cheap."""
+        on-demand job is predicted to finish.  Recomputed per pass from
+        the pass's snapshot of *active* reservations (the release time of
+        an *arrived* reservation tracks ``now``) into a single reused
+        list; active reservations are few, so this overlay stays cheap."""
         blocks = self._resv_overlay
         blocks.clear()
-        for r in self.coordinator.book.active_reservations():
+        for r in active:
             if r.held <= 0:
                 continue
             od = self.jobs_by_id[r.od_job_id]
@@ -933,9 +959,11 @@ class Simulation:
             blocks.append((max(release, self.now + 2 * EPS), r.held))
         return blocks
 
-    def _availability_view(self, usable: int) -> ProfileView:
+    def _availability_view(
+        self, usable: int, active: Sequence[Reservation]
+    ) -> ProfileView:
         """This instant's planner-facing availability profile."""
-        overlay = self._reservation_blocks()
+        overlay = self._reservation_blocks(active)
         if not self._track_timeline:
             # seed behaviour: re-derive every block from the running set
             blocks = [
@@ -1027,9 +1055,11 @@ class Simulation:
         if not self.queue:
             return
         usable = self.usable_free()
+        # nothing below mutates the book before planning: one snapshot
+        active = book.active_reservations()
         loanable = [
             (r.od_job_id, r.held)
-            for r in book.active_reservations()
+            for r in active
             if not r.arrived and r.held > 0
         ]
         if usable <= 0 and not loanable:
@@ -1038,7 +1068,7 @@ class Simulation:
             self.queue, self.now, prioritize_ondemand=self.mechanism is not None
         )
         decisions = self.planner.plan(
-            profile=self._availability_view(usable),
+            profile=self._availability_view(usable, active),
             ordered_queue=ordered,
             loanable=loanable,
             predict_wall=self._predict_wall,
@@ -1067,6 +1097,12 @@ class Simulation:
                 raise SimulationError(
                     f"job {job.job_id} in queue but state {job.state}"
                 )
+        stale = self._wall_memo.keys() - {job.job_id for job in self.queue}
+        if stale:
+            raise SimulationError(
+                f"wall predictions memoized for jobs not in the queue: "
+                f"{sorted(stale)}"
+            )
         if self.usable_free() < 0:
             raise SimulationError(
                 f"reservations hold {self.coordinator.book.total_held} nodes "

@@ -16,6 +16,7 @@ from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType, NoticeClass
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation
+from repro.util.errors import SimulationError
 
 
 def rigid(job_id, submit, size, runtime, estimate=None, setup=0.0):
@@ -340,6 +341,57 @@ class TestCupPlanning:
         # 2000 instead, losing the 1900 s of un-checkpointed progress.
         assert victim.stats.preemptions == 1
         assert victim.stats.lost_node_seconds == pytest.approx(100 * 1900.0)
+
+
+class TestWallMemo:
+    """A queued job's wall prediction is memoized until it starts; a
+    preempted job re-enters the queue with a fresh prediction."""
+
+    def run_recording(self, config):
+        trace = [
+            rigid(1, 0.0, 100, 10000.0, setup=100.0),
+            ondemand(2, 3000.0, 40, 1000.0),
+            # queued behind the victim, so the conservative planner
+            # plans the victim instead of cutting the pass off
+            rigid(3, 3500.0, 10, 100.0),
+        ]
+        sim = Simulation(trace, config, Mechanism.parse("N&PAA"))
+        calls = []
+        predict = sim._predict_wall
+
+        def recording(job, nodes):
+            wall = predict(job, nodes)
+            fresh = sim._compute_wall(job, nodes)
+            calls.append((sim.now, job.job_id, wall, fresh))
+            return wall
+
+        sim._predict_wall = recording
+        return sim, sim.run(), calls
+
+    def test_requeued_victim_predicted_from_retained_work(self):
+        sim, res, calls = self.run_recording(
+            cfg(checkpoint=CKPT_2000, backfill_mode="conservative")
+        )
+        victim = by_id(res, 1)
+        assert victim.stats.preemptions == 1
+        # every memoized answer equals the uncached computation
+        assert all(wall == fresh for _, _, wall, fresh in calls)
+        before = [w for t, j, w, _ in calls if j == 1 and t < 3000.0]
+        after = [w for t, j, w, _ in calls if j == 1 and t >= 3000.0]
+        # fresh start: setup + 10000 compute + 4 checkpoints (600 s)
+        assert before == [pytest.approx(100.0 + 10000.0 + 4 * 600.0)]
+        # checkpoint 1 (done at 2700) retained 2000 s of work: setup +
+        # 8000 left + 3 checkpoints (marks 4000, 6000, 8000)
+        assert after and all(
+            w == pytest.approx(100.0 + 8000.0 + 3 * 600.0) for w in after
+        )
+        assert not sim._wall_memo
+
+    def test_stale_memo_entry_fails_validation(self):
+        sim = Simulation([rigid(1, 0.0, 10, 100.0)], cfg())
+        sim._wall_memo[1] = (10, 100.0)
+        with pytest.raises(SimulationError, match="not in the queue"):
+            sim.validate_state()
 
 
 class TestReservationTimeout:
