@@ -340,9 +340,8 @@ class Simulation:
         self.queue: List[Job] = []
         self.running: Dict[int, RunningJob] = {}
         self._executions: Dict[int, Execution] = {}
-        #: job_id -> (nodes, predicted wall) for queued jobs; a queued
-        #: job's execution state is frozen, so one prediction serves
-        #: every pass until the job starts (see _predict_wall)
+        #: job_id -> (nodes, predicted wall) for queued jobs (see
+        #: _predict_wall)
         self._wall_memo: Dict[int, Tuple[int, float]] = {}
         self._epochs: Dict[int, int] = {}
         self._events_processed = 0
@@ -1100,7 +1099,7 @@ class Simulation:
         stale = self._wall_memo.keys() - {job.job_id for job in self.queue}
         if stale:
             raise SimulationError(
-                f"wall predictions memoized for jobs not in the queue: "
+                "wall predictions memoized for jobs not in the queue: "
                 f"{sorted(stale)}"
             )
         if self.usable_free() < 0:
