@@ -10,9 +10,9 @@ admission for announced no-shows), and the accumulator keeps only
 count/sum/min/max cells and fixed-bucket histograms per
 job-type/notice-class group — O(1) state per group, O(1) work per job.
 
-Both input paths share the funnel: a materialized run feeds the same
-accumulator in the same completion order as a streamed run of the same
-trace, which is what makes streamed and materialized summaries
+Every run feeds the funnel through the simulator's one admission path,
+so a run fed a job list and one fed a generator of the same trace see
+the same completion order, which is what makes their summaries
 byte-identical (asserted by the differential tests).  Group sums are
 accumulated in job-completion order; totals across groups add the group
 subtotals in :class:`~repro.jobs.job.JobType` declaration order.

@@ -282,14 +282,12 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     dispatch layer, repeated trace generation, and per-cell allocation
     dominate, per the task-runtime characterization literature.  Params:
     ``n_cells`` (default 63), ``days`` (default 0.25), ``system_size``
-    (default 256), ``load`` (default 0.6), ``stream`` (0/1, default 1:
-    streamed cells off the shared trace cache vs the materialized
-    pre-cache path), ``workers`` (default 1: serial, so the measured
-    win is cache + streaming + scratch, not parallelism).
+    (default 256), ``load`` (default 0.6), ``workers`` (default 1:
+    serial, so the measured rate is cache + streaming + scratch, not
+    parallelism).
 
     The trace cache is cleared at the start of every rep, so each rep
-    pays its own parses — the measurement models a cold worker process,
-    and ``stream=1`` vs ``stream=0`` is a fair A/B.
+    pays its own parses — the measurement models a cold worker process.
     """
     from repro.campaign.executor import run_campaign
     from repro.campaign.spec import CampaignSpec
@@ -300,7 +298,6 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     days = float(params.get("days", 0.25))
     system_size = int(params.get("system_size", 256))
     load = float(params.get("load", 0.6))
-    stream = bool(int(params.get("stream", 1)))
     workers = int(params.get("workers", 1))
     per_trace = len(CAMPAIGN_MECHANISMS) * len(CAMPAIGN_CHECKPOINTS)
     n_seeds = max(1, -(-n_cells // per_trace))
@@ -319,9 +316,7 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     def run() -> Dict[str, float]:
         get_trace_cache().clear()
         store = ResultStore()
-        result = run_campaign(
-            spec, store=store, workers=workers, stream=stream
-        )
+        result = run_campaign(spec, store=store, workers=workers)
         if result.n_failed:
             raise RuntimeError(
                 f"campaign_throughput: {result.n_failed} cells failed"

@@ -17,13 +17,18 @@ Producers that know their own bound attach it:
   notice precedes its actual arrival by at most lead + late window);
 * :func:`repro.workload.swf.stream_swf` uses ``0`` (SWF jobs carry no
   notices);
+* ``Simulation`` wraps a job list in a stream of its own, sorted by
+  submit time, with the list's exact maximum lead;
 * a bare generator handed straight to ``Simulation`` is wrapped with
   :data:`DEFAULT_NOTICE_HORIZON_S`, generous enough for every notice
   mix this repo generates.
 
-The bound only affects *memory* (how far ahead the simulator admits),
-never decisions: admission just schedules the same submit/notice events
-``Simulation.__init__`` would have pushed up front.
+A correct bound only affects *memory* (how far ahead the simulator
+admits), never decisions: admission schedules each job's submit and
+notice events before the clock can reach them, so the event order is
+the same for any bound that holds.  A job whose notice leads its
+submission by more than the declared bound is rejected at admission
+with a :class:`~repro.util.errors.ConfigurationError`.
 """
 
 from __future__ import annotations

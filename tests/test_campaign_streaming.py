@@ -3,23 +3,33 @@
 The streamed path (generator-backed cells off the shared
 :class:`~repro.workload.trace_cache.TraceCache`, batched pool dispatch,
 per-worker scratch reuse) must be a pure execution-strategy change:
-every store a campaign produces is **byte-identical** to the
-materialized pre-cache path, cell for cell, across mechanisms,
-scheduling policies, checkpoint/failure axes, and SWF-backed cells.
+every store a campaign produces is **byte-identical** to a reference
+store built cell by cell from materialized job lists — ``run_one`` on
+``generate_trace`` / ``retype_jobs`` output, and
+``ondemand_jobs_per_week`` for trace-characterization cells — across
+mechanisms, scheduling policies, checkpoint/failure axes, and
+SWF-backed cells.
 """
 
+import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign, run_worker
 from repro.campaign.distrib.worker import known_keys
 from repro.campaign.executor import (
     _batch_size,
-    execute_cell,
+    _retype_kwargs,
     trace_affine_order,
 )
 from repro.campaign.distrib.merge import merge_shards
+from repro.campaign.store import CellRecord
+from repro.experiments.runner import run_one
+from repro.jobs.job import JobType
 from repro.metrics.summary import deterministic_view
 from repro.sched.registry import policy_names
+from repro.workload.ondemand import burstiness_cv, ondemand_jobs_per_week
+from repro.workload.swf import load_swf, retype_jobs
+from repro.workload.theta import generate_trace
 from repro.workload.trace_cache import reset_trace_cache
 
 SWF_TEXT = """\
@@ -60,12 +70,61 @@ def fresh_cache():
     reset_trace_cache()
 
 
+def materialized_jobs(cell):
+    """The cell's full job list, built without the trace cache."""
+    spec = cell.workload_spec()
+    if cell.trace_file is None:
+        return generate_trace(spec, seed=cell.seed)
+    rigid = load_swf(cell.trace_file, **dict(cell.trace_options))
+    rng = np.random.default_rng(cell.seed)
+    return retype_jobs(rigid, rng=rng, **_retype_kwargs(spec))
+
+
+def reference_record(cell) -> CellRecord:
+    """One cell's record computed from its materialized job list."""
+    jobs = materialized_jobs(cell)
+    if cell.kind == "trace":
+        weekly = ondemand_jobs_per_week(
+            jobs,
+            horizon_s=(
+                cell.workload_spec().horizon_s
+                if cell.trace_file is None
+                else None
+            ),
+        )
+        payload = {
+            "n_jobs": len(jobs),
+            "type_shares": {
+                t.value: sum(j.job_type is t for j in jobs) / len(jobs)
+                for t in JobType
+            },
+            "weekly_ondemand": weekly,
+            "burstiness_cv": burstiness_cv(weekly),
+        }
+        return CellRecord(
+            key=cell.key(), config=cell.config(), status="ok",
+            payload=payload,
+        )
+    summary = run_one(
+        cell.workload_spec(),
+        cell.seed,
+        cell.mechanism_obj(),
+        cell.sim_config(),
+        jobs=jobs,
+    )
+    return CellRecord(
+        key=cell.key(), config=cell.config(), status="ok",
+        summary=summary.to_dict(),
+    )
+
+
 def stores_for(spec: CampaignSpec):
-    """(streamed store bytes, materialized store bytes) for one spec."""
+    """(campaign store bytes, materialized reference bytes) for one spec."""
     streamed, materialized = ResultStore(), ResultStore()
-    a = run_campaign(spec, store=streamed, stream=True)
-    b = run_campaign(spec, store=materialized, stream=False)
-    assert a.n_failed == b.n_failed
+    result = run_campaign(spec, store=streamed)
+    assert result.n_failed == 0
+    for cell in spec.expand():
+        materialized.put(reference_record(cell))
     return streamed.canonical_bytes(), materialized.canonical_bytes()
 
 
@@ -110,21 +169,10 @@ class TestStreamedStoreEquivalence:
         streamed, materialized = stores_for(spec)
         assert streamed == materialized
 
-    def test_execute_cell_stream_flag_summary(self):
-        cell = small_spec().expand()[1]
-        on = execute_cell(cell.config(), stream=True)
-        off = execute_cell(cell.config(), stream=False)
-        assert on.status == off.status == "ok"
-        assert deterministic_view(on.summary) == deterministic_view(
-            off.summary
-        )
-
 
 class TestRunOneIterable:
     def test_bare_generator_matches_list(self):
-        from repro.experiments.runner import run_one
         from repro.workload.spec import WorkloadSpec
-        from repro.workload.theta import generate_trace
 
         spec = WorkloadSpec(days=1.0, system_size=512, target_load=0.6)
         jobs = generate_trace(spec, seed=3)

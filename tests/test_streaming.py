@@ -5,24 +5,28 @@ Covers the three equivalence contracts the streaming path promises:
 
 * ``iter_jobs()`` / ``iter_swf()`` yield *exactly* the jobs their
   materializing counterparts build — same ids, same fields, same order;
-* a streamed simulation produces byte-identical summaries, breakdowns,
-  and scheduler decision logs to a materialized run of the same trace,
-  for the baseline and every paper mechanism, while retaining no job
-  list (``result.jobs == []``);
-* the two bugfix satellites: ``EventQueue.pop_batch`` must not split
+* a simulation fed a generator produces byte-identical summaries,
+  breakdowns, and scheduler decision logs to one fed the same trace as
+  a list (in any order — the list is admitted in submit order), for
+  the baseline and every paper mechanism, while retaining no job list
+  (``result.jobs == []``);
+* the bugfix satellites: ``EventQueue.pop_batch`` must not split
   same-instant batches at month-scale timestamps (the seed's absolute
-  ``1e-9`` tolerance did, past ``t ~ 1e8`` s), and
+  ``1e-9`` tolerance did, past ``t ~ 1e8`` s),
   ``LatencyStats.from_samples`` percentiles are nearest-rank
   (``int(p*n)`` indexed one past the rank whenever ``p*n`` was
-  integral).
+  integral), and a stream whose notices outrun its declared horizon
+  is rejected at admission.
 """
 
 import math
 import os
+import random
 
 import pytest
 
-from repro.core.mechanisms import ALL_MECHANISMS
+from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
+from repro.jobs.job import Job, JobType, NoticeClass
 from repro.sched.registry import policy_names
 from repro.metrics.breakdown import (
     ondemand_by_notice_class,
@@ -38,7 +42,7 @@ from repro.sim.events import EventType
 from repro.sim.simulator import LatencyStats, Simulation
 from repro.util.errors import ConfigurationError
 from repro.workload.spec import theta_spec
-from repro.workload.stream import as_stream
+from repro.workload.stream import JobStream, as_stream
 from repro.workload.swf import iter_swf, load_swf, stream_swf
 from repro.workload.theta import ThetaWorkloadGenerator
 
@@ -195,6 +199,85 @@ def test_any_iterable_is_accepted_as_a_stream():
     ).run()
     assert st.jobs == []
     assert _canonical(st) == _canonical(mat)
+
+
+# ----------------------------------------------------------------------
+# A list is admitted as a stream: order-free input, order-kept output
+# ----------------------------------------------------------------------
+def _distinct_submit_jobs():
+    """A noticed-rich trace with one job per submit time, so admission
+    order is fully determined by submit time."""
+    seen = set()
+    jobs = []
+    for job in ThetaWorkloadGenerator(SPEC, seed=3).generate():
+        if job.submit_time not in seen:
+            seen.add(job.submit_time)
+            jobs.append(job)
+    assert sum(j.notice_time is not None for j in jobs) > 10
+    return jobs
+
+
+def test_shuffled_list_matches_sorted_list():
+    config = _sim_config(log_decisions=True)
+    mechanism = ALL_MECHANISMS[0]
+    ordered = Simulation(_distinct_submit_jobs(), config, mechanism).run()
+    shuffled_jobs = _distinct_submit_jobs()
+    random.Random(7).shuffle(shuffled_jobs)
+    shuffled = Simulation(shuffled_jobs, config, mechanism).run()
+    assert _canonical(shuffled) == _canonical(ordered)
+    assert [e.to_json_line() for e in shuffled.log.entries] == [
+        e.to_json_line() for e in ordered.log.entries
+    ]
+
+
+def test_result_keeps_a_list_in_the_callers_order_and_no_stream():
+    jobs = _distinct_submit_jobs()
+    random.Random(11).shuffle(jobs)
+    result = Simulation(jobs, _sim_config(), ALL_MECHANISMS[0]).run()
+    assert len(result.jobs) == len(jobs)
+    assert all(a is b for a, b in zip(result.jobs, jobs))
+    assert all(
+        j.stats.end_time is not None for j in result.jobs if not j.no_show
+    )
+    streamed = Simulation(
+        as_stream(iter(_distinct_submit_jobs())),
+        _sim_config(),
+        ALL_MECHANISMS[0],
+    ).run()
+    assert streamed.jobs == []
+
+
+def _under_declared_horizon_trace():
+    """Rigid jobs at 0 s and 2000 s plus an on-demand job that submits
+    at 5000 s with its advance notice at 1000 s (a 4000 s lead)."""
+    return [
+        Job(0, JobType.RIGID, 0.0, 8, 100.0, 100.0),
+        Job(1, JobType.RIGID, 2000.0, 8, 100.0, 100.0),
+        Job(
+            2, JobType.ONDEMAND, 5000.0, 8, 100.0, 100.0,
+            notice_class=NoticeClass.ACCURATE,
+            notice_time=1000.0,
+            estimated_arrival=5000.0,
+        ),
+    ]
+
+
+def test_under_declared_notice_horizon_fails_fast():
+    """A notice leading its submission by more than the declared horizon
+    is rejected when the job is admitted: admitted that late, the notice
+    (1000 s) can already lie behind the clock (2100 s)."""
+    config = SimConfig(system_size=64)
+    mechanism = Mechanism.parse("N&PAA")
+    stream = JobStream(_under_declared_horizon_trace(), notice_horizon_s=0.0)
+    with pytest.raises(
+        ConfigurationError, match=r"job 2: .* 4000 s, .* horizon of 0 s"
+    ):
+        Simulation(stream, config, mechanism).run()
+    stream = JobStream(
+        _under_declared_horizon_trace(), notice_horizon_s=4000.0
+    )
+    result = Simulation(stream, config, mechanism).run()
+    assert result.accumulator.n_jobs == 3
 
 
 def test_unsorted_stream_is_rejected():
