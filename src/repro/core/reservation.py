@@ -20,10 +20,14 @@ lined up for one announced on-demand job:
 
 The book serialises competition between on-demand jobs: "the released
 nodes are assigned to the on-demand job with the earliest advance notice".
+It holds open reservations only: :meth:`ReservationBook.deactivate`
+drops a reservation and its reverse-index entries, so the book's memory
+is O(open reservations), not O(trace).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -55,7 +59,6 @@ class Reservation:
     loans: Dict[int, int] = field(default_factory=dict)
     earmarks: Dict[int, int] = field(default_factory=dict)
     planned: Dict[int, PlannedPreemption] = field(default_factory=dict)
-    active: bool = True
     arrived: bool = False
 
     @property
@@ -69,11 +72,22 @@ class Reservation:
         return max(0, self.need - self.secured)
 
 
+def _priority(res: Reservation) -> Tuple[float, int]:
+    """Competition order: earliest advance notice first (fixed at create)."""
+    return (res.notice_time, res.od_job_id)
+
+
 class ReservationBook:
-    """All active reservations, ordered by advance-notice time."""
+    """All open reservations, ordered by advance-notice time.
+
+    A reservation is *active* exactly while it is in the book: created by
+    :meth:`create`, removed by :meth:`deactivate`.
+    """
 
     def __init__(self) -> None:
         self._by_od: Dict[int, Reservation] = {}
+        #: the same reservations in :func:`_priority` order
+        self._ordered: List[Reservation] = []
         self.total_held = 0
         self.held_node_seconds = 0.0
         self._last_t = 0.0
@@ -94,25 +108,19 @@ class ReservationBook:
 
     # ------------------------------------------------------------------
     def get(self, od_job_id: int) -> Optional[Reservation]:
-        res = self._by_od.get(od_job_id)
-        return res if res is not None and res.active else None
+        return self._by_od.get(od_job_id)
 
     def active_reservations(self) -> List[Reservation]:
         """Active reservations in earliest-notice order (priority order)."""
-        return sorted(
-            (r for r in self._by_od.values() if r.active),
-            key=lambda r: (r.notice_time, r.od_job_id),
-        )
+        return list(self._ordered)
 
     def holding_reservations(self) -> List[Reservation]:
-        """Active reservations currently holding nodes (unsorted).
+        """Active reservations currently holding nodes.
 
         Used by the simulator's pass skipping to spot *clock-tracking*
-        pseudo-blocks (see ``Simulation._has_clock_tracking_block``);
-        unlike :meth:`active_reservations` it does not sort, because
-        that check runs on every potentially-skippable batch.
+        pseudo-blocks (see ``Simulation._has_clock_tracking_block``).
         """
-        return [r for r in self._by_od.values() if r.active and r.held > 0]
+        return [r for r in self._ordered if r.held > 0]
 
     def create(
         self,
@@ -123,7 +131,7 @@ class ReservationBook:
         expiry_time: float,
         collecting: bool,
     ) -> Reservation:
-        if od_job_id in self._by_od and self._by_od[od_job_id].active:
+        if od_job_id in self._by_od:
             raise InvariantViolation(
                 f"on-demand job {od_job_id} already has an active reservation"
             )
@@ -136,6 +144,7 @@ class ReservationBook:
             collecting=collecting,
         )
         self._by_od[od_job_id] = res
+        insort(self._ordered, res, key=_priority)
         return res
 
     # ------------------------------------------------------------------
@@ -196,9 +205,7 @@ class ReservationBook:
 
     def loans_on(self, job_id: int) -> int:
         """Total reserved nodes *job_id* is currently borrowing."""
-        return sum(
-            r.loans.get(job_id, 0) for r in self._by_od.values() if r.active
-        )
+        return sum(r.loans.get(job_id, 0) for r in self._ordered)
 
     # ------------------------------------------------------------------
     def on_job_release(
@@ -286,33 +293,59 @@ class ReservationBook:
         """Cancel pending planned preemptions and drop earmarks."""
         for plan in res.planned.values():
             plan.cancelled = True
-        for job_id in list(res.earmarks):
-            del res.earmarks[job_id]
+        for job_id in res.earmarks:
+            self._unindex(self._earmarks_on, job_id, res.od_job_id)
+        res.earmarks.clear()
+
+    @staticmethod
+    def _unindex(
+        index: Dict[int, List[Tuple[int, int]]], job_id: int, od_job_id: int
+    ) -> None:
+        """Drop *od_job_id*'s entries from ``index[job_id]``."""
+        entries = index.get(job_id)
+        if entries is None:
+            return
+        kept = [e for e in entries if e[0] != od_job_id]
+        if kept:
+            index[job_id] = kept
+        else:
+            del index[job_id]
 
     def deactivate(self, od_job_id: int) -> int:
         """Close a reservation; its held nodes melt back into plain free.
 
         Returns the number of nodes that were held.  Loans simply become
         ordinary allocations of the borrowers; pending plans are cancelled.
+        The reservation leaves the book together with its reverse-index
+        entries.
         """
-        res = self._by_od.get(od_job_id)
-        if res is None or not res.active:
+        res = self._by_od.pop(od_job_id, None)
+        if res is None:
             return 0
         self.cancel_plans(res)
+        for victim_id in res.planned:
+            self._unindex(self._planned_on, victim_id, od_job_id)
+        i = bisect_left(self._ordered, _priority(res), key=_priority)
+        if self._ordered[i] is not res:
+            raise InvariantViolation(
+                f"reservation {od_job_id} missing from the priority order"
+            )
+        del self._ordered[i]
         held = res.held
         res.held = 0
         self.total_held -= held
         res.loans.clear()
-        res.active = False
         return held
 
     # ------------------------------------------------------------------
     def validate(self, cluster_free: int) -> None:
         """Consistency checks (used by tests and debug runs)."""
+        if self._ordered != sorted(self._by_od.values(), key=_priority):
+            raise InvariantViolation(
+                "priority order and id index hold different reservations"
+            )
         total = 0
-        for res in self._by_od.values():
-            if not res.active:
-                continue
+        for res in self._ordered:
             if res.held < 0:
                 raise InvariantViolation(
                     f"reservation {res.od_job_id}: negative held {res.held}"

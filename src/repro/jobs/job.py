@@ -241,7 +241,7 @@ class Job:
     @property
     def smallest_size(self) -> int:
         """Smallest node count the job can start on."""
-        if self.is_malleable:
+        if self.job_type is JobType.MALLEABLE:
             assert self.min_size is not None
             return self.min_size
         return self.size

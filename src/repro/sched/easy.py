@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.jobs.job import Job
+from repro.jobs.job import Job, JobType
 from repro.sched.profile import ProfileView, ShadowInfo
 
 __all__ = [
@@ -107,6 +107,9 @@ class BackfillPlanner:
             holdings) and ``profile.shadow`` answers the head's earliest
             fit from running jobs' predicted releases and reservation
             pseudo-blocks.
+        ordered_queue:
+            The wait queue in policy order; read, never modified (the
+            simulator may pass its own kept-sorted queue).
         loanable:
             ``(reservation_id, held_nodes)`` for active not-yet-arrived
             reservations, in loan-priority order.
@@ -114,8 +117,7 @@ class BackfillPlanner:
         now = profile.now
         free = profile.free
         decisions: List[StartDecision] = []
-        queue = list(ordered_queue)
-        loan_pool: List[List[int]] = [[rid, held] for rid, held in loanable]
+        queue = ordered_queue
 
         # Phase 1 — start jobs in order while they fit in the free pool.
         head_idx = 0
@@ -138,16 +140,32 @@ class BackfillPlanner:
         head = queue[head_idx]
         shadow = profile.shadow(self._min_size(head), free=free)
 
-        # Phase 3 — backfill the remaining queue.
+        # Phase 3 — backfill the remaining queue.  ``loan_total`` tracks
+        # the pool's remaining held nodes as loans are granted; a loan
+        # never takes more than an entry holds, so it stays the exact sum.
+        loan_pool: List[List[int]] = (
+            [[rid, held] for rid, held in loanable] if self.allow_loans else []
+        )
+        loan_total = sum(held for _, held in loan_pool)
+        flexible = self.flexible_malleable
+        shadow_time = shadow.time
         extra = shadow.extra_nodes
         candidates = queue[head_idx + 1 :]
         if self.backfill_depth is not None:
             candidates = candidates[: self.backfill_depth]
         for job in candidates:
-            if free <= 0 and not self._loans_available(loan_pool):
+            if free <= 0 and loan_total <= 0:
                 break
+            min_size = job.smallest_size if flexible else job.size
+            # on-demand jobs never borrow reserved nodes: a borrower is
+            # preempted when the owning on-demand job arrives, and
+            # on-demand jobs must never be preempted (§III-A)
+            pool = 0 if job.job_type is JobType.ONDEMAND else loan_total
+            if min_size > free + pool:
+                continue
             pick = self._fit_backfill(
-                now, job, free, loan_pool, shadow.time, extra, predict_wall
+                now, job, min_size, free, loan_pool, pool, shadow_time,
+                extra, predict_wall,
             )
             if pick is None:
                 continue
@@ -164,23 +182,35 @@ class BackfillPlanner:
             free -= free_used
             if used_extra:
                 extra -= free_used
-            for rid, k in loans.items():
+            if loans:
+                loan_total -= nodes - free_used
                 for entry in loan_pool:
-                    if entry[0] == rid:
-                        entry[1] -= k
+                    entry[1] -= loans.get(entry[0], 0)
         return decisions
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _loans_available(loan_pool: Sequence[Sequence[int]]) -> bool:
-        return any(held > 0 for _, held in loan_pool)
+    def _split(loan_pool: Sequence[Sequence[int]], need: int) -> Dict[int, int]:
+        """Borrow *need* nodes from the pool in loan-priority order."""
+        loans: Dict[int, int] = {}
+        for rid, held in loan_pool:
+            if need <= 0:
+                break
+            take = min(held, need)
+            if take > 0:
+                loans[rid] = take
+                need -= take
+        return loans
 
+    @classmethod
     def _fit_backfill(
-        self,
+        cls,
         now: float,
         job: Job,
+        min_size: int,
         free: int,
-        loan_pool: List[List[int]],
+        loan_pool: Sequence[Sequence[int]],
+        loan_total: int,
         shadow_time: float,
         extra: int,
         predict_wall: WallPredictor,
@@ -188,61 +218,26 @@ class BackfillPlanner:
         """Try to fit *job* as a backfill; returns (nodes, free_used, loans,
         counted_against_extra) or None.
 
-        A fit is legal iff it cannot delay the head's shadow reservation:
-        either the job's predicted end is before the shadow time, or the
-        nodes it takes from the *free* pool fit in the extra budget
-        (loaned reserved nodes never delay the head).
-
-        On-demand jobs never borrow reserved nodes: a borrower is preempted
-        when the owning on-demand job arrives, and on-demand jobs must never
-        be preempted (§III-A).
+        The caller has checked ``min_size <= free + loan_total``, where
+        ``loan_total`` is the reserved nodes this job may borrow (0 for
+        an on-demand job).  A fit is legal iff it cannot delay the head's
+        shadow reservation: either the job's predicted end is before the
+        shadow time, or the nodes it takes from the *free* pool fit in
+        the extra budget (loaned reserved nodes never delay the head).
         """
-        may_loan = self.allow_loans and not job.is_ondemand
-        loan_total = sum(h for _, h in loan_pool) if may_loan else 0
-        avail = free + loan_total
-        min_size = self._min_size(job)
-        if min_size > avail:
-            return None
-
-        def split(nodes: int) -> Tuple[int, Dict[int, int]]:
-            free_used = min(nodes, free)
-            need = nodes - free_used
-            loans: Dict[int, int] = {}
-            for entry in loan_pool:
-                if need <= 0:
-                    break
-                rid, held = entry
-                take = min(held, need)
-                if take > 0:
-                    loans[rid] = take
-                    need -= take
-            return free_used, loans
-
         # Attempt 1: largest possible size; qualifies if it ends in time.
-        nodes = min(job.max_size, avail)
-        free_used, loans = split(nodes)
-        end = now + predict_wall(job, nodes)
-        if end <= shadow_time + EPS:
-            return nodes, free_used, loans, False
+        nodes = min(job.max_size, free + loan_total)
+        if now + predict_wall(job, nodes) <= shadow_time + EPS:
+            free_used = min(nodes, free)
+            return nodes, free_used, cls._split(loan_pool, nodes - free_used), False
 
         # Attempt 2: qualify via the extra-node budget (no time limit) —
         # the free draw must fit in `extra`; prefer the largest such size.
-        budget = min(free, max(extra, 0)) + loan_total
-        if budget >= min_size:
-            nodes = min(job.max_size, budget)
-            free_used = min(nodes, min(free, max(extra, 0)))
-            need = nodes - free_used
-            loans = {}
-            for entry in loan_pool:
-                if need <= 0:
-                    break
-                rid, held = entry
-                take = min(held, need)
-                if take > 0:
-                    loans[rid] = take
-                    need -= take
-            if need == 0:
-                return nodes, free_used, loans, True
+        free_budget = min(free, max(extra, 0))
+        if free_budget + loan_total >= min_size:
+            nodes = min(job.max_size, free_budget + loan_total)
+            free_used = min(nodes, free_budget)
+            return nodes, free_used, cls._split(loan_pool, nodes - free_used), True
 
         # Attempt 3 (rigid only): a smaller malleable size could still fit
         # the time window; for malleable jobs smaller = slower, so there is

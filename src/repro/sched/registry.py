@@ -17,8 +17,9 @@ Registration contract (see DESIGN.md "Policy registry"):
   params, same behaviour (cells are content-addressed on the params);
 * the ordering policy may only *sort* the queue (``key``/``order``);
   it must not mutate jobs, start them, or hold cross-pass state;
-* aging policies (``key`` depends on ``now`` in an order-changing way)
-  must set ``time_invariant = False``.
+* aging policies (``key`` depends on ``now``) must set
+  ``time_invariant = False``; a time-invariant policy's key is computed
+  once per queued job (``SchedulingPolicy.static_key``).
 
 Adding a policy::
 

@@ -23,7 +23,9 @@ jobs' predicted releases (updated in place instead of re-derived inside
 every planner call) and a dirty bit that lets :meth:`_schedule_pass`
 short-circuit batches that provably cannot change any decision — an
 event batch made entirely of stale events, or any batch with an empty
-wait queue.  ``SimConfig.force_full_replan`` restores the seed
+wait queue.  The wait queue itself is kept sorted by the policy's
+static key as jobs enter and leave it, so a time-invariant policy needs
+no per-pass sort.  ``SimConfig.force_full_replan`` restores the seed
 behaviour (full per-pass rebuild, no skipping); decisions and metrics
 are identical in both modes.
 """
@@ -33,7 +35,9 @@ from __future__ import annotations
 import math
 import threading
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -347,7 +351,20 @@ class Simulation:
                 allow_loans=self.config.allow_reserved_loans,
                 flexible_malleable=self.config.flexible_malleable,
             )
+        #: the wait queue, kept sorted by ``_queue_key`` through
+        #: :meth:`_enqueue`/:meth:`_dequeue`: the policy's static key for
+        #: a time-invariant policy (the queue *is* the policy order), job
+        #: id otherwise (the policy re-sorts it each pass);
+        #: ``_queue_keys[i] == _queue_key(queue[i])``
         self.queue: List[Job] = []
+        self._queue_keys: list = []
+        static_key = self.policy.static_key(
+            prioritize_ondemand=mechanism is not None
+        )
+        self._queue_in_policy_order = static_key is not None
+        self._queue_key = static_key or attrgetter("job_id")
+        #: the on-demand jobs in the wait queue, by id
+        self._waiting_od: Dict[int, Job] = {}
         self.running: Dict[int, RunningJob] = {}
         self._executions: Dict[int, Execution] = {}
         #: job_id -> (nodes, predicted wall) for queued jobs (see
@@ -567,6 +584,27 @@ class Simulation:
     # ------------------------------------------------------------------
     # Job lifecycle operations
     # ------------------------------------------------------------------
+    def _enqueue(self, job: Job) -> None:
+        """Insert *job* into the wait queue at its key's position."""
+        key = self._queue_key(job)
+        i = bisect_left(self._queue_keys, key)
+        self._queue_keys.insert(i, key)
+        self.queue.insert(i, job)
+        if job.job_type is JobType.ONDEMAND:
+            self._waiting_od[job.job_id] = job
+
+    def _dequeue(self, job: Job) -> None:
+        """Remove *job* from the wait queue (keys are unique: the job id
+        is the last component)."""
+        i = bisect_left(self._queue_keys, self._queue_key(job))
+        if i == len(self.queue) or self.queue[i] is not job:
+            raise SimulationError(
+                f"job {job.job_id} started while not in the wait queue"
+            )
+        del self.queue[i]
+        del self._queue_keys[i]
+        self._waiting_od.pop(job.job_id, None)
+
     def _execution_for(self, job: Job) -> Execution:
         ex = self._executions.get(job.job_id)
         if ex is None:
@@ -589,12 +627,7 @@ class Simulation:
         loans: Optional[Dict[int, int]] = None,
     ) -> None:
         """Start *job* on *nodes* nodes, borrowing per *loans* if given."""
-        try:
-            self.queue.remove(job)
-        except ValueError as exc:
-            raise SimulationError(
-                f"job {job.job_id} started while not in the wait queue"
-            ) from exc
+        self._dequeue(job)
         self._wall_memo.pop(job.job_id, None)
         t = self.now
         self.cluster.start_job(job.job_id, nodes)
@@ -684,7 +717,7 @@ class Simulation:
         st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
         st.preemptions += 1
         job.set_state(JobState.QUEUED)
-        self.queue.append(job)
+        self._enqueue(job)
         self._epochs[job_id] = self._epochs.get(job_id, 0) + 1
         released = self.cluster.end_job(job_id)
         self.log.add(
@@ -777,7 +810,7 @@ class Simulation:
     def _handle_submit(self, job_id: int) -> None:
         job = self.jobs_by_id[job_id]
         job.set_state(JobState.QUEUED)
-        self.queue.append(job)
+        self._enqueue(job)
         self._sched_dirty = True
         self._c_dirty["submit"].inc()
         self.log.add(self.now, LogKind.SUBMIT, job_id, nodes=job.size)
@@ -1040,9 +1073,9 @@ class Simulation:
         book = self.coordinator.book
         # Pre-phase: waiting on-demand jobs assemble nodes via their
         # (still-collecting) reservations, earliest arrival first.
-        if self.mechanism is not None:
+        if self.mechanism is not None and self._waiting_od:
             waiting_od = sorted(
-                (j for j in self.queue if j.is_ondemand),
+                self._waiting_od.values(),
                 key=lambda j: (j.submit_time, j.job_id),
             )
             for od in waiting_od:
@@ -1059,9 +1092,13 @@ class Simulation:
         ]
         if usable <= 0 and not loanable:
             return
-        ordered = self.policy.order(
-            self.queue, self.now, prioritize_ondemand=self.mechanism is not None
-        )
+        if self._queue_in_policy_order:
+            ordered = self.queue  # planners only read it
+        else:
+            ordered = self.policy.order(
+                self.queue, self.now,
+                prioritize_ondemand=self.mechanism is not None,
+            )
         decisions = self.planner.plan(
             profile=self._availability_view(usable, active),
             ordered_queue=ordered,
@@ -1092,6 +1129,18 @@ class Simulation:
                 raise SimulationError(
                     f"job {job.job_id} in queue but state {job.state}"
                 )
+        keys = [self._queue_key(job) for job in self.queue]
+        if keys != self._queue_keys or keys != sorted(keys):
+            raise SimulationError(
+                "wait queue out of key order or out of step with its keys"
+            )
+        waiting_od = {j.job_id: j for j in self.queue if j.is_ondemand}
+        if waiting_od != self._waiting_od:
+            raise SimulationError(
+                "waiting on-demand index differs from the queue's "
+                f"on-demand jobs: {sorted(self._waiting_od)} vs "
+                f"{sorted(waiting_od)}"
+            )
         stale = self._wall_memo.keys() - {job.job_id for job in self.queue}
         if stale:
             raise SimulationError(

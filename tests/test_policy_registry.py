@@ -14,6 +14,7 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, "tests")
 from test_simulator_invariants import random_trace  # noqa: E402
@@ -23,6 +24,7 @@ from repro.campaign import run_campaign
 from repro.campaign.report import report_text
 from repro.campaign.spec import CampaignSpec
 from repro.core.mechanisms import Mechanism
+from repro.jobs.job import Job, JobType, NoticeClass
 from repro.sched import FcfsPolicy, LjfPolicy, SjfPolicy
 from repro.sched.ewt import EwtPolicy
 from repro.sched.registry import (
@@ -103,6 +105,78 @@ class TestRegistryApi:
         # the score policy's key is submit-anchored: time-invariant for
         # any weights (the common now-term is dropped)
         assert get_policy("score", wait_weight=3.0).ordering.time_invariant
+
+
+# ----------------------------------------------------------------------
+# The time-invariance contract: pass skipping and the simulator's
+# kept-sorted wait queue both rely on ``time_invariant``
+# ----------------------------------------------------------------------
+TIME_INVARIANT = [
+    name for name in policy_names() if get_policy(name).ordering.time_invariant
+]
+
+
+@st.composite
+def any_job(draw, job_id: int) -> Job:
+    kind = draw(st.sampled_from(list(JobType)))
+    size = draw(st.integers(min_value=1, max_value=4096))
+    runtime = draw(st.floats(min_value=1.0, max_value=1e6))
+    submit = draw(st.floats(min_value=0.0, max_value=1e7))
+    kw = {}
+    if kind is JobType.MALLEABLE:
+        kw["min_size"] = draw(st.integers(min_value=1, max_value=size))
+    if kind is JobType.ONDEMAND:
+        notice = draw(st.sampled_from(list(NoticeClass)))
+        if notice is not NoticeClass.NONE:
+            lead = draw(st.floats(min_value=0.0, max_value=submit))
+            kw.update(
+                notice_class=notice,
+                notice_time=submit - lead,
+                estimated_arrival=submit,
+            )
+    return Job(
+        job_id=job_id,
+        job_type=kind,
+        submit_time=submit,
+        size=size,
+        runtime=runtime,
+        estimate=runtime * draw(st.floats(min_value=1.0, max_value=3.0)),
+        **kw,
+    )
+
+
+@st.composite
+def any_queue(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    return [draw(any_job(job_id)) for job_id in range(n)]
+
+
+times = st.floats(min_value=0.0, max_value=1e8)
+
+
+@pytest.mark.parametrize("name", TIME_INVARIANT)
+@settings(max_examples=50, deadline=None)
+@given(queue=any_queue(), t1=times, t2=times)
+def test_time_invariant_key_ignores_now(name, queue, t1, t2):
+    policy = get_policy(name).ordering
+    for job in queue:
+        assert policy.key(job, t1) == policy.key(job, t2)
+
+
+@pytest.mark.parametrize("name", TIME_INVARIANT)
+@pytest.mark.parametrize("prioritize_ondemand", [True, False])
+@settings(max_examples=50, deadline=None)
+@given(queue=any_queue(), now=times)
+def test_static_key_sorts_like_order(name, prioritize_ondemand, queue, now):
+    policy = get_policy(name).ordering
+    by_static = sorted(queue, key=policy.static_key(prioritize_ondemand))
+    by_order = policy.order(queue, now, prioritize_ondemand)
+    assert [j.job_id for j in by_static] == [j.job_id for j in by_order]
+
+
+def test_time_variant_policy_has_no_static_key():
+    assert get_policy("prb_ewt").ordering.static_key(True) is None
+    assert get_policy("prb_ewt").ordering.static_key(False) is None
 
 
 # ----------------------------------------------------------------------

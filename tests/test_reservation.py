@@ -214,3 +214,47 @@ class TestValidateAndIntegral:
         book.grab_free(res, 20)
         book.advance(30.0)
         assert book.held_node_seconds == pytest.approx(20 * 20.0)
+
+
+class TestOpenReservationsOnly:
+    def test_deactivate_drops_the_reservation_and_its_index_entries(self):
+        book = ReservationBook()
+        gone = make_res(book, od_id=1, notice=0.0, collecting=False)
+        kept = make_res(book, od_id=2, notice=5.0, collecting=False)
+        book.add_earmark(gone, job_id=5, pledge=10)
+        book.add_earmark(kept, job_id=5, pledge=20)
+        book.add_earmark(gone, job_id=6, pledge=10)
+        book.add_planned(gone, PlannedPreemption(7, 100.0, 5))
+        book.add_planned(kept, PlannedPreemption(7, 100.0, 8))
+        book.add_planned(gone, PlannedPreemption(8, 100.0, 5))
+        book.deactivate(1)
+        assert 1 not in book._by_od
+        assert book._by_od == {2: kept}
+        assert book._ordered == [kept]
+        assert book._earmarks_on == {5: [(2, 20)]}
+        assert book._planned_on == {7: [(2, 8)]}
+        assert book.pledged_on(5) == 20
+        assert book.pledged_on(7) == 8
+        book.validate(cluster_free=0)
+
+    def test_priority_order_kept_at_create(self):
+        book = ReservationBook()
+        r3 = make_res(book, od_id=3, notice=5.0)
+        r1 = make_res(book, od_id=1, notice=5.0)
+        r2 = make_res(book, od_id=2, notice=0.0)
+        assert book.active_reservations() == [r2, r1, r3]
+        book.deactivate(1)
+        assert book.active_reservations() == [r2, r3]
+
+    def test_validate_catches_priority_order_drift(self):
+        book = ReservationBook()
+        make_res(book, od_id=1, notice=0.0)
+        make_res(book, od_id=2, notice=5.0)
+        book.validate(cluster_free=0)
+        book._ordered.reverse()
+        with pytest.raises(InvariantViolation):
+            book.validate(cluster_free=0)
+        book._ordered.reverse()
+        book._ordered.pop()
+        with pytest.raises(InvariantViolation):
+            book.validate(cluster_free=0)

@@ -15,6 +15,7 @@ from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType, NoticeClass
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation
+from repro.util.errors import SimulationError
 from repro.util.rng import RngStreams
 
 SYSTEM = 64
@@ -214,3 +215,41 @@ def test_checkpointing_disabled_also_safe():
     assert all(j.state is JobState.COMPLETED for j in result.jobs)
     # checkpoint time is zero up to float residue of the accounting algebra
     assert all(j.stats.checkpoint_node_seconds < 1e-6 for j in result.jobs)
+
+
+@pytest.mark.parametrize("mech_name", ["CUP&SPAA", "N&PAA"])
+def test_reservation_book_is_empty_after_the_run(mech_name):
+    """Closed reservations leave the book: its memory is O(open)."""
+    jobs = random_trace(3, n_jobs=150)
+    assert sum(j.is_ondemand for j in jobs) >= 20
+    config = SimConfig(system_size=SYSTEM, validate_invariants=True)
+    sim = Simulation(jobs, config, Mechanism.parse(mech_name))
+    result = sim.run()
+    assert result.reserved_idle_node_seconds > 0
+    book = sim.coordinator.book
+    assert book._by_od == {}
+    assert book._ordered == []
+    assert book._planned_on == {}
+    assert book._earmarks_on == {}
+
+
+def test_validate_state_checks_the_kept_sorted_queue():
+    jobs = random_trace(3, n_jobs=40)
+    sim = Simulation(
+        jobs, SimConfig(system_size=SYSTEM), Mechanism.parse("N&PAA")
+    )
+    od = [j for j in jobs if j.is_ondemand][:2]
+    for job in [*jobs[:4], *od]:
+        if job.state is JobState.PENDING:
+            job.set_state(JobState.QUEUED)
+            sim._enqueue(job)
+    # on-demand jobs first, then FCFS
+    assert sim.queue[: len(od)] == od
+    sim.validate_state()
+    sim.queue[0], sim.queue[-1] = sim.queue[-1], sim.queue[0]
+    with pytest.raises(SimulationError, match="key order"):
+        sim.validate_state()
+    sim.queue[0], sim.queue[-1] = sim.queue[-1], sim.queue[0]
+    del sim._waiting_od[od[0].job_id]
+    with pytest.raises(SimulationError, match="on-demand index"):
+        sim.validate_state()
