@@ -30,6 +30,7 @@ scenario (default 100k jobs, ~1 min with the tracemalloc pass);
 ~8 min — the generator-backed path's headline scale).
 """
 
+import contextlib
 import cProfile
 import os
 import pstats
@@ -261,6 +262,65 @@ def test_policy_zoo_throughput(emit, perf_store):  # noqa: F811
     )
 
 
+class _CountingNullHooks:
+    """A disabled obs bundle whose no-op hooks count their calls.
+
+    It stands in for the registry, the tracer and the memory probe at
+    once, so a disabled run against it (``bundle()``) tallies exactly
+    the metric, span and memory-section calls the disabled path makes.
+    """
+
+    enabled = False
+    tracing = False
+
+    def __init__(self):
+        self.metric_calls = 0
+        self.spans = 0
+        self.sections = 0
+
+    def bundle(self):
+        from repro.obs import Observability
+
+        return Observability(self, self, enabled=False, memory=self)
+
+    # registry: every metric is this object
+    def counter(self, name):
+        return self
+
+    def gauge(self, name):
+        return self
+
+    def histogram(self, name, bounds=None):
+        return self
+
+    def inc(self, n=1):
+        self.metric_calls += 1
+
+    def dec(self, n=1):
+        self.metric_calls += 1
+
+    def set(self, value):
+        self.metric_calls += 1
+
+    def observe(self, value):
+        self.metric_calls += 1
+
+    # tracer and memory probe
+    def span(self, name, **attrs):
+        self.spans += 1
+        return contextlib.nullcontext()
+
+    def section(self, name):
+        self.sections += 1
+        return contextlib.nullcontext()
+
+    def sample(self):
+        return {}
+
+    def close(self):
+        pass
+
+
 def test_obs_overhead(emit):  # noqa: F811
     """Instrumentation overhead budget on the 10k-job scenario.
 
@@ -268,12 +328,12 @@ def test_obs_overhead(emit):  # noqa: F811
     MemoryProbe's no-op sections — are wired into the simulator
     permanently, so the budget is asserted two ways:
 
-    * **disabled < 2%**: the per-hit cost of the shared no-op metric,
+    * **disabled < 2%**: the per-call cost of the shared no-op metric,
       span, and memory-section objects is microbenchmarked, multiplied
-      by the *actual* hook hit counts of the 10k run (taken from an
-      enabled run's own counters — an overestimate, since bulk-flushed
-      counters are charged per event and every span is charged a
-      memory section too), and compared against the run's wall time;
+      by the number of hook calls the disabled path makes in the 10k
+      run (counted by one more disabled run against
+      :class:`_CountingNullHooks`), and compared against the run's wall
+      time;
     * **enabled < 10%**: best-of-three wall clock with a live registry
       + tracer vs best-of-three with the disabled default, interleaved
       so machine drift lands on both modes equally.
@@ -281,7 +341,7 @@ def test_obs_overhead(emit):  # noqa: F811
     Also exports the enabled run's trace + ``obs summary`` text to
     ``benchmarks/out/`` — the CI ``obs-bench`` job uploads both.
     """
-    from repro.obs import disable, enabled_obs, get_obs
+    from repro.obs import disable, enabled_obs, get_obs, set_obs
     from repro.obs.export import render_summary, trace_data, write_trace_data
 
     jobs = synth_jobs(ASSERT_AT)
@@ -295,13 +355,12 @@ def test_obs_overhead(emit):  # noqa: F811
     run_once()  # warm caches so round 1 is comparable to round 3
     # interleave D/E/D/E so machine drift hits both modes equally
     disabled_times, enabled_times = [], []
-    doc = spans_started = None
+    doc = None
     for _round in range(3):
         disable()
         disabled_times.append(run_once())
         with enabled_obs() as obs:
             enabled_times.append(run_once())
-            spans_started = obs.tracer.n_started
             doc = trace_data(obs, process_name="bench-sim-core-10k")
     disabled_s = min(disabled_times)
     enabled_s = min(enabled_times)
@@ -334,14 +393,19 @@ def test_obs_overhead(emit):  # noqa: F811
             pass
     per_msection_s = (time.perf_counter() - t0) / n
 
-    metrics = doc["otherData"]["metrics"]
-    counter_hits = sum(metrics["counters"].values())
-    hist_hits = sum(h["count"] for h in metrics["histograms"].values())
-    # memory sections fire once per sim.run, but charge one per span
-    # as a deliberate overestimate
+    # the hook calls the disabled path makes: a bulk-flushed counter is
+    # one call whatever its value, and a region the disabled path does
+    # not open is not charged
+    hooks = _CountingNullHooks()
+    previous = set_obs(hooks.bundle())
+    try:
+        Simulation(clone_jobs(jobs), config, None).run()
+    finally:
+        set_obs(previous)
     disabled_cost_s = (
-        (counter_hits + hist_hits) * per_inc_s
-        + spans_started * (per_span_s + per_msection_s)
+        hooks.metric_calls * per_inc_s
+        + hooks.spans * per_span_s
+        + hooks.sections * per_msection_s
     )
     disabled_frac = disabled_cost_s / disabled_s
     enabled_frac = enabled_s / disabled_s - 1.0
@@ -350,8 +414,8 @@ def test_obs_overhead(emit):  # noqa: F811
         (
             f"obs overhead, 10k jobs: disabled hooks "
             f"{disabled_cost_s * 1e3:.1f}ms of {disabled_s:.2f}s "
-            f"({disabled_frac * 100:.2f}%, {counter_hits + hist_hits} "
-            f"metric hits + {spans_started} spans incl. null memory "
+            f"({disabled_frac * 100:.2f}%, {hooks.metric_calls} metric "
+            f"calls + {hooks.spans} spans + {hooks.sections} memory "
             f"sections); enabled run "
             f"{enabled_s:.2f}s ({enabled_frac * 100:+.1f}%)"
         ),
