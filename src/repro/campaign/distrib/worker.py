@@ -18,6 +18,11 @@ then loops:
    some cells are leased by other workers — sleep and rescan, so a
    worker that died mid-cell is covered once its lease expires.
 
+Before the loop the worker creates its shard file, so every worker
+that ran leaves a shard — an empty one if other workers executed every
+cell.  Readers (``merge_shards``, ``known_keys``) treat an empty shard
+as a shard with no records.
+
 The happens-before chain that prevents double execution: a finishing
 worker flushes its shard append *before* releasing the lease, and a
 successful acquire happens *after* that release — so the post-acquire
@@ -147,6 +152,12 @@ def run_worker(
     shard_store = ResultStore(
         directory_p, results_file=f"{SHARDS_DIR}/{shard}.jsonl"
     )
+    # the shard exists from the start: a worker that never executes a
+    # cell (another took them all) still leaves its shard, empty, and
+    # merge_shards/known_keys read an empty shard as no records
+    own_shard = shard_path(directory_p, shard)
+    own_shard.parent.mkdir(parents=True, exist_ok=True)
+    own_shard.touch(exist_ok=True)
     # all workers (and the fleet launcher, merge, and status) share one
     # persisted index, so every completion scan anywhere in the fleet
     # reads only bytes nobody has indexed yet

@@ -102,8 +102,9 @@ class ReservationBook:
             raise InvariantViolation(
                 f"reservation clock moved backwards: {self._last_t} -> {t}"
             )
-        dt = max(0.0, t - self._last_t)
-        self.held_node_seconds += dt * self.total_held
+        dt = t - self._last_t
+        if dt > 0.0:  # a non-positive step adds nothing
+            self.held_node_seconds += dt * self.total_held
         self._last_t = t
 
     # ------------------------------------------------------------------

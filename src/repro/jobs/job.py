@@ -59,12 +59,23 @@ class JobState(enum.Enum):
 
 #: Legal state transitions; used by :meth:`Job.set_state` to catch bugs.
 _TRANSITIONS = {
-    JobState.PENDING: {JobState.NOTICED, JobState.QUEUED},
-    JobState.NOTICED: {JobState.QUEUED},
-    JobState.QUEUED: {JobState.RUNNING},
-    JobState.RUNNING: {JobState.QUEUED, JobState.COMPLETED},
-    JobState.COMPLETED: set(),
+    JobState.PENDING: (JobState.NOTICED, JobState.QUEUED),
+    JobState.NOTICED: (JobState.QUEUED,),
+    JobState.QUEUED: (JobState.RUNNING,),
+    JobState.RUNNING: (JobState.QUEUED, JobState.COMPLETED),
+    JobState.COMPLETED: (),
 }
+
+# Hot-path lookups that never hash an enum member (``Enum.__hash__`` is
+# a Python-level call): every state carries its legal successors, and
+# every job type and notice class its declaration ordinal, which indexes
+# per-group cells such as the metrics accumulator's.
+for _state, _successors in _TRANSITIONS.items():
+    _state.successors = _successors
+for _enum in (JobType, NoticeClass):
+    for _ordinal, _member in enumerate(_enum):
+        _member.ordinal = _ordinal
+del _state, _successors, _enum, _ordinal, _member
 
 
 @dataclass
@@ -291,7 +302,7 @@ class Job:
     # ------------------------------------------------------------------
     def set_state(self, new_state: JobState) -> None:
         """Transition the job, validating against the state machine."""
-        if new_state not in _TRANSITIONS[self.state]:
+        if new_state not in self.state.successors:
             raise ConfigurationError(
                 f"job {self.job_id}: illegal transition "
                 f"{self.state.value} -> {new_state.value}"

@@ -18,6 +18,7 @@ integrated exactly across resize points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.jobs.job import Job
 from repro.util.errors import InvariantViolation
@@ -34,6 +35,15 @@ class MalleableAccounting:
     setup: float
     compute: float  # == retained; malleable jobs never lose compute
     lost_setup: float  # partial setup thrown away by a mid-setup preemption
+
+    # the rest of :class:`~repro.jobs.rigid_exec.SegmentAccounting`'s
+    # shape, so the simulator folds both kinds of segment alike
+    checkpoint: ClassVar[float] = 0.0
+    lost: ClassVar[float] = 0.0
+
+    @property
+    def retained(self) -> float:
+        return self.compute
 
     def validate(self) -> None:
         if abs(self.allocated - (self.setup + self.compute)) > 1e-3:

@@ -22,7 +22,7 @@ Two classes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.jobs.job import Job
 from repro.util.errors import InvariantViolation
@@ -31,12 +31,12 @@ from repro.util.errors import InvariantViolation
 EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class SegmentAccounting:
+class SegmentAccounting(NamedTuple):
     """Node-second decomposition of one closed segment.
 
     ``allocated == setup + compute + checkpoint`` and
-    ``compute == retained + lost`` (all in node-seconds).
+    ``compute == retained + lost`` (all in node-seconds).  An immutable
+    tuple: one is built per closed segment, on the job-finish hot path.
     """
 
     wall: float
@@ -80,7 +80,10 @@ class RigidTimeline:
         Wall-clock seconds each checkpoint takes (no compute progresses).
     """
 
-    __slots__ = ("start", "setup", "base_work", "total_work", "interval", "cost")
+    __slots__ = (
+        "start", "setup", "base_work", "total_work", "interval", "cost",
+        "_n_checkpoints", "_finish",
+    )
 
     def __init__(
         self,
@@ -109,6 +112,18 @@ class RigidTimeline:
         self.total_work = float(total_work)
         self.interval = float(interval)
         self.cost = float(cost)
+        # the timeline is immutable: its checkpoint count and natural
+        # finish are computed once
+        remaining = self.total_work - self.base_work
+        if math.isinf(self.interval):
+            self._n_checkpoints = 0
+        else:
+            self._n_checkpoints = max(
+                0, math.ceil(remaining / self.interval - EPS) - 1
+            )
+        self._finish = (
+            self.start + self.setup + remaining + self._n_checkpoints * self.cost
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -124,20 +139,12 @@ class RigidTimeline:
         below ``total_work`` — there is no point checkpointing at the
         finish line.
         """
-        if math.isinf(self.interval):
-            return 0
-        r = self.remaining_work
-        n = math.ceil(r / self.interval - EPS) - 1
-        return max(0, n)
+        return self._n_checkpoints
 
     def finish_time(self) -> float:
-        """Wall time the segment completes if never interrupted."""
-        return (
-            self.start
-            + self.setup
-            + self.remaining_work
-            + self.num_checkpoints * self.cost
-        )
+        """Wall time the segment completes if never interrupted:
+        ``start + setup + remaining_work + num_checkpoints * cost``."""
+        return self._finish
 
     def wall_for_work(self, work: float) -> float:
         """Wall-clock duration to finish if the demand were *work*.
@@ -168,13 +175,13 @@ class RigidTimeline:
     # ------------------------------------------------------------------
     def _elapsed_exec(self, t: float) -> float:
         """Post-setup execution seconds at wall time *t*, clamped."""
-        return max(0.0, min(t, self.finish_time()) - self.start - self.setup)
+        return max(0.0, min(t, self._finish) - self.start - self.setup)
 
     def completed_checkpoints_at(self, t: float) -> int:
         """Checkpoints fully written by wall time *t*."""
         if math.isinf(self.interval):
             return 0
-        if t >= self.finish_time() - EPS:
+        if t >= self._finish - EPS:
             return self.num_checkpoints
         e = self._elapsed_exec(t)
         cycle = self.interval + self.cost
@@ -186,7 +193,7 @@ class RigidTimeline:
         Includes compute that would be *lost* if the job were preempted at
         *t* (work past the last completed checkpoint).
         """
-        if t >= self.finish_time() - EPS:
+        if t >= self._finish - EPS:
             return self.remaining_work
         e = self._elapsed_exec(t)
         if math.isinf(self.interval):
@@ -199,7 +206,7 @@ class RigidTimeline:
 
     def retained_at(self, t: float) -> float:
         """Absolute retained compute offset if preempted at time *t*."""
-        if t >= self.finish_time() - EPS:
+        if t >= self._finish - EPS:
             return self.total_work
         k = self.completed_checkpoints_at(t)
         return min(self.total_work, self.base_work + k * self.interval if k else self.base_work)
@@ -229,7 +236,7 @@ class RigidTimeline:
         *t* is clamped to the segment's natural finish; at or past the
         finish the segment retains all its remaining work (nothing lost).
         """
-        end = min(t, self.finish_time())
+        end = min(t, self._finish)
         wall = max(0.0, end - self.start)
         setup_spent = min(wall, self.setup)
         progress = self.progress_at(end)
@@ -292,7 +299,7 @@ class RigidExecution:
         """Wall time the current segment completes the job."""
         if self.timeline is None:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
-        return self.timeline.finish_time()
+        return self.timeline._finish
 
     def predicted_finish(self) -> float:
         """Finish prediction based on the user's estimate (for EASY)."""
@@ -332,10 +339,10 @@ class RigidExecution:
         """
         if self.timeline is None:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
-        if t > self.timeline.finish_time() + EPS:
+        if t > self.timeline._finish + EPS:
             raise InvariantViolation(
                 f"job {self.job.job_id}: preempt at {t} after finish "
-                f"{self.timeline.finish_time()}"
+                f"{self.timeline._finish}"
             )
         acc = self.timeline.accounting_until(t, self.nodes)
         self.completed_work = self.timeline.retained_at(t)
@@ -343,15 +350,35 @@ class RigidExecution:
         return acc
 
     def complete(self, t: float) -> SegmentAccounting:
-        """Close the current segment by natural completion at time *t*."""
-        if self.timeline is None:
+        """Close the current segment by natural completion at time *t*.
+
+        Equal, field for field, to ``timeline.accounting_until(finish)``
+        in closed form: at its natural finish a segment has executed and
+        retained all of its remaining work, so nothing is lost.  The float
+        expressions are the ones ``accounting_until`` evaluates there.
+        """
+        tl = self.timeline
+        if tl is None:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
-        ft = self.timeline.finish_time()
+        ft = tl._finish
         if abs(t - ft) > 1e-3:
             raise InvariantViolation(
                 f"job {self.job.job_id}: complete() at {t}, natural finish {ft}"
             )
-        acc = self.timeline.accounting_until(ft, self.nodes)
+        nodes = self.nodes
+        wall = max(0.0, ft - tl.start)
+        setup_spent = min(wall, tl.setup)
+        progress = tl.total_work - tl.base_work
+        acc = SegmentAccounting(
+            wall=wall,
+            allocated=wall * nodes,
+            setup=setup_spent * nodes,
+            compute=progress * nodes,
+            checkpoint=max(0.0, wall - setup_spent - progress) * nodes,
+            retained=progress * nodes,
+            lost=0.0,
+        )
+        acc.validate()
         self.completed_work = self.job.runtime
         self.timeline = None
         return acc

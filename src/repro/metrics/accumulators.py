@@ -129,6 +129,8 @@ class SummaryAccumulator:
         "od_delay",
         "od_instant",
         "by_notice",
+        "_type_cells",
+        "_notice_cells",
     )
 
     def __init__(self, instant_threshold_s: float = 60.0) -> None:
@@ -143,6 +145,10 @@ class SummaryAccumulator:
         self.by_notice: Dict[NoticeClass, NoticeGroup] = {
             c: NoticeGroup(c.value) for c in NoticeClass
         }
+        # the same cells indexed by the member's ordinal: the per-job
+        # lookup then never hashes an enum member
+        self._type_cells = list(self.by_type.values())
+        self._notice_cells = list(self.by_notice.values())
 
     # ------------------------------------------------------------------
     def observe_noshow(self, job: Job) -> None:
@@ -152,7 +158,7 @@ class SummaryAccumulator:
     def observe_finished(self, job: Job) -> None:
         """Fold one completed job into every group it belongs to."""
         st = job.stats
-        group = self.by_type[job.job_type]
+        group = self._type_cells[job.job_type.ordinal]
         turnaround = job.turnaround
         self.turnaround_all.observe(turnaround)
         group.turnaround.observe(turnaround)
@@ -172,7 +178,7 @@ class SummaryAccumulator:
             self.od_delay.observe(delay)
             if instant:
                 self.od_instant += 1
-            ng = self.by_notice[job.notice_class]
+            ng = self._notice_cells[job.notice_class.ordinal]
             ng.count += 1
             ng.delay.observe(delay)
             ng.delay_hist.observe(delay)

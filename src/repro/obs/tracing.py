@@ -23,10 +23,11 @@ traces can be correlated across processes.
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, NamedTuple, Tuple
+from typing import Deque, Dict, List, NamedTuple, Tuple, Union
 
 #: default ring capacity — ~8MB of spans at worst, far below sim state
 DEFAULT_CAPACITY = 65_536
@@ -50,6 +51,15 @@ class SpanRecord(NamedTuple):
     @property
     def end_s(self) -> float:
         return self.start_s + self.duration_s
+
+
+#: a :meth:`Tracer.record` span as stored in the ring: name index,
+#: start_s, duration_s, thread id, depth.  ``bytes`` are not tracked by
+#: the garbage collector, so a loop that records a span per iteration
+#: adds no collector work; a tuple per span would, and on a 10k-pass
+#: simulation those tuples alone pulled full collections into traced
+#: runs.
+_PACKED = struct.Struct("=IddQq")
 
 
 class _SpanHandle:
@@ -93,7 +103,12 @@ class Tracer:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
-        self.spans: Deque[SpanRecord] = deque(maxlen=capacity)
+        #: completed spans, oldest first; a ``bytes`` entry is a packed
+        #: :meth:`record` span (:meth:`records` unpacks it)
+        self.spans: Deque[Union[SpanRecord, bytes]] = deque(maxlen=capacity)
+        #: names of :meth:`record` spans, by the index packed with them
+        self._names: List[str] = []
+        self._name_ids: Dict[str, int] = {}
         #: spans ever completed, including ones the ring has dropped
         self.n_started = 0
         self.t0 = time.perf_counter()
@@ -103,6 +118,29 @@ class Tracer:
 
     def span(self, name: str, **attrs) -> _SpanHandle:
         return _SpanHandle(self, name, attrs)
+
+    def record(self, name: str, start: float) -> None:
+        """Record an attribute-free span from ``perf_counter()`` *start*
+        to now, at the calling thread's current depth.
+
+        The cheap form of ``with span(name):`` for a region that opens
+        no span inside it: no handle object, no depth bookkeeping, and
+        the span is stored packed (see ``_PACKED``).  The simulator
+        times each scheduling pass with it.
+        """
+        end = time.perf_counter()
+        self.n_started += 1
+        name_id = self._name_ids.get(name)
+        if name_id is None:
+            name_id = self._name_ids[name] = len(self._names)
+            self._names.append(name)
+        self.spans.append(_PACKED.pack(
+            name_id,
+            start - self.t0,
+            end - start,
+            threading.get_ident(),
+            getattr(self._local, "depth", 0),
+        ))
 
     @property
     def n_dropped(self) -> int:
@@ -114,11 +152,22 @@ class Tracer:
 
     def records(self) -> List[SpanRecord]:
         """Completed spans, oldest first (ring order)."""
-        return list(self.spans)
+        names = self._names
+        out: List[SpanRecord] = []
+        for rec in self.spans:
+            if rec.__class__ is bytes:
+                name_id, start_s, duration_s, thread_id, depth = (
+                    _PACKED.unpack(rec)
+                )
+                rec = SpanRecord(
+                    names[name_id], start_s, duration_s, thread_id, depth
+                )
+            out.append(rec)
+        return out
 
     def by_name(self) -> Dict[str, List[SpanRecord]]:
         out: Dict[str, List[SpanRecord]] = {}
-        for rec in self.spans:
+        for rec in self.records():
             out.setdefault(rec.name, []).append(rec)
         return out
 
@@ -151,6 +200,9 @@ class NullTracer:
 
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
+
+    def record(self, name: str, start: float) -> None:
+        pass
 
     def current_depth(self) -> int:
         return 0

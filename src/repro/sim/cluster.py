@@ -49,8 +49,9 @@ class Cluster:
             raise InvariantViolation(
                 f"cluster clock moved backwards: {self._last_t} -> {t}"
             )
-        dt = max(0.0, t - self._last_t)
-        self.free_node_seconds += dt * self.free
+        dt = t - self._last_t
+        if dt > 0.0:  # a non-positive step adds nothing
+            self.free_node_seconds += dt * self.free
         self._last_t = t
 
     # ------------------------------------------------------------------

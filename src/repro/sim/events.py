@@ -17,8 +17,7 @@ A single scheduling pass runs after each same-timestamp batch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import NamedTuple
 
 
 class EventType(enum.IntEnum):
@@ -33,19 +32,33 @@ class EventType(enum.IntEnum):
     END_OF_TRACE = 6
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """A scheduled simulator event.
+class Event(NamedTuple):
+    """A scheduled simulator event: a plain tuple, so the heap compares in C.
 
-    Ordering key is ``(time, type, seq)``; ``payload`` is excluded from
-    comparisons.  ``seq`` is a monotonically increasing tiebreaker assigned
-    by the queue so FIFO order holds within a (time, type) group.
+    Ordering is ``(time, type, seq)``: ``seq`` is a unique, monotonically
+    increasing tiebreaker assigned by the queue, so FIFO order holds
+    within a (time, type) group and the payload fields are never
+    compared.  The payload is two ints:
+
+    * ``job_id`` — the job the event concerns (the on-demand job for
+      ``PLANNED_PREEMPT`` and ``RESERVATION_TIMEOUT``);
+    * ``aux`` — the allocation epoch for ``JOB_FINISH``/``JOB_FAILURE``,
+      the victim's id for ``PLANNED_PREEMPT``, 0 otherwise.
+
+    The field order is a contract with two hot loops that index the
+    tuple instead of naming fields: ``EventQueue`` reads ``time`` as
+    element 0, and ``Simulation.run`` unpacks each batch positionally.
+    A change to the fields changes both.
     """
 
     time: float
     type: EventType
     seq: int
-    payload: Dict[str, Any] = field(compare=False, default_factory=dict)
+    job_id: int = 0
+    aux: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Event(t={self.time:.1f}, {self.type.name}, {self.payload})"
+        return (
+            f"Event(t={self.time:.1f}, {self.type.name}, "
+            f"job_id={self.job_id}, aux={self.aux})"
+        )

@@ -20,8 +20,8 @@ through the ``SimulatorOps`` surface.
 The mutation funnel also maintains the **incremental scheduling state**:
 a shared :class:`~repro.sched.profile.AvailabilityTimeline` of running
 jobs' predicted releases (updated in place instead of re-derived inside
-every planner call) and a dirty bit that lets :meth:`_schedule_pass`
-short-circuit batches that provably cannot change any decision — an
+every planner call) and a dirty bit that lets :meth:`run` skip the
+scheduling pass of batches that provably cannot change any decision — an
 event batch made entirely of stale events, or any batch with an empty
 wait queue.  The wait queue itself is kept sorted by the policy's
 static key as jobs enter and leave it, so a time-invariant policy needs
@@ -333,6 +333,9 @@ class Simulation:
         self._n_completed = 0
 
         self.equeue = EventQueue()
+        #: the simulation clock: the time of the batch being processed,
+        #: read from the event queue once per batch by :meth:`run`
+        self.now = 0.0
         self.cluster = Cluster(self.config.system_size)
         self.coordinator = HybridCoordinator(
             mechanism, self, reservation_grace_s=self.config.reservation_grace_s
@@ -472,10 +475,10 @@ class Simulation:
         if nxt is None:
             return
         horizon = self._notice_horizon_s
-        equeue = self.equeue
+        next_time = self.equeue.next_time
         while nxt is not None:
-            front = equeue.peek()
-            if front is not None and nxt.submit_time - horizon > front.time:
+            front = next_time()
+            if front is not None and nxt.submit_time - horizon > front:
                 break
             self._admit(nxt)
             nxt = next(self._stream_it, None)
@@ -513,12 +516,10 @@ class Simulation:
             self._n_arrivals_admitted += 1
         self.jobs_by_id[job.job_id] = job
         if not job.no_show:
-            self.equeue.push(
-                job.submit_time, EventType.JOB_SUBMIT, job_id=job.job_id
-            )
+            self.equeue.push(job.submit_time, EventType.JOB_SUBMIT, job.job_id)
         if noticed:
             self.equeue.push(
-                job.notice_time, EventType.ADVANCE_NOTICE, job_id=job.job_id
+                job.notice_time, EventType.ADVANCE_NOTICE, job.job_id
             )
 
     def _retire(self, job_id: int) -> None:
@@ -538,10 +539,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # SimulatorOps surface (driven by the coordinator)
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.equeue.now
-
     def usable_free(self) -> int:
         """Free nodes not held by any reservation."""
         return self.cluster.free - self.coordinator.book.total_held
@@ -561,15 +558,14 @@ class Simulation:
 
     def push_planned_preempt(self, fire: float, od_id: int, victim_id: int) -> None:
         self.equeue.push(
-            max(fire, self.now),
-            EventType.PLANNED_PREEMPT,
-            od_id=od_id,
-            victim_id=victim_id,
+            max(fire, self.now), EventType.PLANNED_PREEMPT, od_id, victim_id
         )
 
     def push_reservation_timeout(self, fire: float, od_id: int) -> None:
         if math.isfinite(fire):
-            self.equeue.push(max(fire, self.now), EventType.RESERVATION_TIMEOUT, od_id=od_id)
+            self.equeue.push(
+                max(fire, self.now), EventType.RESERVATION_TIMEOUT, od_id
+            )
 
     def mark_sched_dirty(self) -> None:
         """Note a planning-relevant state change made outside the funnel.
@@ -627,52 +623,52 @@ class Simulation:
         loans: Optional[Dict[int, int]] = None,
     ) -> None:
         """Start *job* on *nodes* nodes, borrowing per *loans* if given."""
+        job_id = job.job_id
         self._dequeue(job)
-        self._wall_memo.pop(job.job_id, None)
+        self._wall_memo.pop(job_id, None)
         t = self.now
-        self.cluster.start_job(job.job_id, nodes)
+        self.cluster.start_job(job_id, nodes)
         if loans:
             for rid, k in loans.items():
                 res = self.coordinator.book.get(rid)
                 if res is None:
                     raise SimulationError(
-                        f"loan from vanished reservation {rid} for job {job.job_id}"
+                        f"loan from vanished reservation {rid} for job {job_id}"
                     )
-                self.coordinator.book.loan_out(res, job.job_id, k)
+                self.coordinator.book.loan_out(res, job_id, k)
         ex = self._execution_for(job)
         if isinstance(ex, MalleableExecution):
             ex.start_segment(t, nodes)
         else:
             if nodes != job.size:
                 raise SimulationError(
-                    f"{job.job_type.value} job {job.job_id} started on "
+                    f"{job.job_type.value} job {job_id} started on "
                     f"{nodes} != {job.size} nodes"
                 )
             ex.start_segment(t)
-        epoch = self._epochs.get(job.job_id, 0) + 1
-        self._epochs[job.job_id] = epoch
+        epoch = self._epochs.get(job_id, 0) + 1
+        self._epochs[job_id] = epoch
         rj = RunningJob(job=job, execution=ex, nodes=nodes, epoch=epoch, started_at=t)
-        self.running[job.job_id] = rj
+        self.running[job_id] = rj
         self._sched_dirty = True
         self._c_dirty["start"].inc()
         if self._track_timeline:
-            self.timeline.set_block(job.job_id, rj.predicted_finish(), nodes)
+            self.timeline.set_block(job_id, ex.predicted_finish(), nodes)
             self._c_timeline_upserts.inc()
         job.set_state(JobState.RUNNING)
-        if job.stats.first_start is None:
-            job.stats.first_start = t
-        job.stats.last_start = t
-        job.stats.segment_sizes.append(nodes)
-        self.equeue.push(
-            ex.finish_time(), EventType.JOB_FINISH, job_id=job.job_id, epoch=epoch
-        )
+        st = job.stats
+        if st.first_start is None:
+            st.first_start = t
+        st.last_start = t
+        st.segment_sizes.append(nodes)
+        self.equeue.push(ex.finish_time(), EventType.JOB_FINISH, job_id, epoch)
         self._maybe_schedule_failure(rj)
         self.log.add(
             t,
             LogKind.START,
-            job.job_id,
+            job_id,
             nodes=nodes,
-            detail="resume" if job.stats.preemptions else "",
+            detail="resume" if st.preemptions else "",
         )
 
     def start_od_job(self, job: Job) -> None:
@@ -683,12 +679,26 @@ class Simulation:
         """Lease-return resume (§III-B.3), bypassing the policy order."""
         self._start_job(job, nodes, None)
 
-    @staticmethod
-    def _record_segment(rj: RunningJob, start: float, end: float, allocated: float) -> None:
+    def _fold_segment(self, rj: RunningJob, acc, preempted: bool) -> None:
+        """Fold the segment *rj* just closed into its job's stats.
+
+        *acc* is the execution model's accounting of the segment (rigid
+        and malleable accountings share the fields read here); the setup
+        of a *preempted* segment is all waste.
+        """
+        st = rj.job.stats
+        start, end = rj.started_at, self.now
         if end > start + EPS:
-            rj.job.stats.segment_records.append(
-                (start, end, allocated / (end - start))
+            st.segment_records.append(
+                (start, end, acc.allocated / (end - start))
             )
+        st.allocated_node_seconds += acc.allocated
+        st.setup_node_seconds += acc.setup
+        if preempted:
+            st.wasted_setup_node_seconds += acc.setup
+        st.retained_node_seconds += acc.retained
+        st.lost_node_seconds += acc.lost
+        st.checkpoint_node_seconds += acc.checkpoint
 
     def preempt_running_job(self, job_id: int, reason: str) -> int:
         """Preempt a running job; returns the released node count.
@@ -706,16 +716,8 @@ class Simulation:
             self.timeline.remove_block(job_id)
             self._c_timeline_removes.inc()
         job = rj.job
-        acc = rj.execution.preempt(self.now)
-        self._record_segment(rj, rj.started_at, self.now, acc.allocated)
-        st = job.stats
-        st.allocated_node_seconds += acc.allocated
-        st.setup_node_seconds += acc.setup
-        st.wasted_setup_node_seconds += acc.setup  # preempted segment: all waste
-        st.retained_node_seconds += getattr(acc, "retained", acc.compute)
-        st.lost_node_seconds += getattr(acc, "lost", 0.0)
-        st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
-        st.preemptions += 1
+        self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
+        job.stats.preemptions += 1
         job.set_state(JobState.QUEUED)
         self._enqueue(job)
         self._epochs[job_id] = self._epochs.get(job_id, 0) + 1
@@ -771,10 +773,8 @@ class Simulation:
             )
             self._c_timeline_upserts.inc()
         self.equeue.push(
-            rj.execution.finish_time(),
-            EventType.JOB_FINISH,
-            job_id=rj.job.job_id,
-            epoch=rj.epoch,
+            rj.execution.finish_time(), EventType.JOB_FINISH,
+            rj.job.job_id, rj.epoch,
         )
         # Redraw the failure gap for the new epoch; the exponential is
         # memoryless, so a fresh draw is statistically equivalent.
@@ -801,13 +801,15 @@ class Simulation:
         at = base + gap
         if at < rj.execution.finish_time() - EPS:
             self.equeue.push(
-                at, EventType.JOB_FAILURE, job_id=rj.job.job_id, epoch=rj.epoch
+                at, EventType.JOB_FAILURE, rj.job.job_id, rj.epoch
             )
 
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _handle_submit(self, job_id: int) -> None:
+    # Every handler takes an event's two payload ints (see ``Event``);
+    # the ones that need only the job id ignore the second.
+    def _handle_submit(self, job_id: int, _aux: int = 0) -> None:
         job = self.jobs_by_id[job_id]
         job.set_state(JobState.QUEUED)
         self._enqueue(job)
@@ -817,7 +819,7 @@ class Simulation:
         if job.is_ondemand:
             self.coordinator.on_od_arrival(job)
 
-    def _handle_notice(self, job_id: int) -> None:
+    def _handle_notice(self, job_id: int, _aux: int = 0) -> None:
         job = self.jobs_by_id[job_id]
         job.set_state(JobState.NOTICED)
         self.log.add(
@@ -844,27 +846,21 @@ class Simulation:
             self.timeline.remove_block(job_id)
             self._c_timeline_removes.inc()
         job = rj.job
-        acc = rj.execution.complete(self.now)
-        self._record_segment(rj, rj.started_at, self.now, acc.allocated)
-        st = job.stats
-        st.allocated_node_seconds += acc.allocated
-        st.setup_node_seconds += acc.setup
-        st.retained_node_seconds += getattr(acc, "retained", acc.compute)
-        st.lost_node_seconds += getattr(acc, "lost", 0.0)
-        st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
+        now = self.now
+        self._fold_segment(rj, rj.execution.complete(now), preempted=False)
         del self.running[job_id]
         job.set_state(JobState.COMPLETED)
-        st.end_time = self.now
+        job.stats.end_time = now
         released = self.cluster.end_job(job_id)
-        self.log.add(self.now, LogKind.FINISH, job_id, nodes=released)
+        self.log.add(now, LogKind.FINISH, job_id, nodes=released)
         self.metrics.observe_finished(job)
         if job.is_ondemand:
             self.coordinator.on_od_completion(job)
         else:
             self.coordinator.on_job_release(job_id, released)
         self._n_completed += 1
-        if self.now > self._admit_last_end:
-            self._admit_last_end = self.now
+        if now > self._admit_last_end:
+            self._admit_last_end = now
         self._retire(job_id)
 
     def _handle_failure(self, job_id: int, epoch: int) -> None:
@@ -879,16 +875,8 @@ class Simulation:
         if rj is None or rj.epoch != epoch:
             return  # stale: the segment this failure was drawn for is gone
         self._failures_injected += 1
-        job = rj.job
-        acc = rj.execution.preempt(self.now)
-        self._record_segment(rj, rj.started_at, self.now, acc.allocated)
-        st = job.stats
-        st.allocated_node_seconds += acc.allocated
-        st.setup_node_seconds += acc.setup
-        st.wasted_setup_node_seconds += acc.setup
-        st.retained_node_seconds += getattr(acc, "retained", acc.compute)
-        st.lost_node_seconds += getattr(acc, "lost", 0.0)
-        st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
+        st = rj.job.stats
+        self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
         st.failures += 1
         restart = self.now + self.config.failures.restart_delay_s
         ex = rj.execution
@@ -901,10 +889,7 @@ class Simulation:
         self._reschedule_finish(rj)
         self.log.add(self.now, LogKind.FAILURE, job_id, nodes=rj.nodes)
 
-    def _handle_planned_preempt(self, od_id: int, victim_id: int) -> None:
-        self.coordinator.on_planned_preempt(od_id, victim_id)
-
-    def _handle_timeout(self, od_id: int) -> None:
+    def _handle_timeout(self, od_id: int, _aux: int = 0) -> None:
         self.coordinator.on_reservation_timeout(od_id)
         job = self.jobs_by_id.get(od_id)
         if job is not None and job.no_show:
@@ -1025,14 +1010,12 @@ class Simulation:
         return False
 
     def _can_skip_pass(self) -> bool:
-        """Is this pass provably a no-op?
+        """Is this pass over a non-empty queue provably a no-op?
 
-        Two cases, both exact (never heuristic — skipping must not be
-        able to change a single decision):
+        (:meth:`run` skips an empty-queue pass itself.)  The test is
+        exact, never heuristic — skipping must not be able to change a
+        single decision:
 
-        * **Empty queue.**  There is nothing to order, nothing to start,
-          and no waiting on-demand job for the pre-phase (those sit in
-          the queue too).
         * **Nothing changed.**  No funnel mutation, queue change, or
           reservation change happened since the last executed pass —
           the event batch was entirely stale events — so the planner
@@ -1046,11 +1029,6 @@ class Simulation:
           against fixed blocks and grow the extra-node budget) refuses
           this skip (:meth:`_has_clock_tracking_block`).
         """
-        if not self.queue:
-            # any pending dirtiness is consumed: a no-op pass over an
-            # empty queue re-establishes the clean fixpoint
-            self._sched_dirty = False
-            return True
         return (
             not self._sched_dirty
             and self.policy.time_invariant
@@ -1058,17 +1036,7 @@ class Simulation:
         )
 
     def _schedule_pass(self) -> None:
-        if not self.config.force_full_replan and self._can_skip_pass():
-            self._passes_skipped += 1
-            return
-        self._schedule_passes += 1
-        # attrs deliberately omitted: this span fires once per executed
-        # pass and is the hottest traced region — the enabled-path
-        # budget (bench_sim_core) leaves no room for per-pass kwargs
-        with self._obs.span("sim.pass"):
-            self._schedule_pass_body()
-
-    def _schedule_pass_body(self) -> None:
+        """One scheduling pass: start what the planner picks now."""
         self._sched_dirty = False
         book = self.coordinator.book
         # Pre-phase: waiting on-demand jobs assemble nodes via their
@@ -1166,37 +1134,66 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Run the trace to completion and return the result record."""
         t0 = _time.perf_counter()
-        dispatch = {
-            EventType.JOB_SUBMIT: lambda p: self._handle_submit(p["job_id"]),
-            EventType.ADVANCE_NOTICE: lambda p: self._handle_notice(p["job_id"]),
-            EventType.JOB_FINISH: lambda p: self._handle_finish(
-                p["job_id"], p["epoch"]
-            ),
-            EventType.JOB_FAILURE: lambda p: self._handle_failure(
-                p["job_id"], p["epoch"]
-            ),
-            EventType.PLANNED_PREEMPT: lambda p: self._handle_planned_preempt(
-                p["od_id"], p["victim_id"]
-            ),
-            EventType.RESERVATION_TIMEOUT: lambda p: self._handle_timeout(
-                p["od_id"]
-            ),
+        # handlers indexed by the int event type, each called with the
+        # event's two payload ints
+        by_type = {
+            EventType.JOB_FINISH: self._handle_finish,
+            EventType.JOB_FAILURE: self._handle_failure,
+            EventType.PLANNED_PREEMPT: self.coordinator.on_planned_preempt,
+            EventType.ADVANCE_NOTICE: self._handle_notice,
+            EventType.JOB_SUBMIT: self._handle_submit,
+            EventType.RESERVATION_TIMEOUT: self._handle_timeout,
         }
+        handlers = [by_type.get(etype) for etype in EventType]
+        equeue = self.equeue
+        pending = equeue.heap
+        cluster = self.cluster
+        book = self.coordinator.book
+        queue = self.queue  # mutated in place, never rebound
+        batch_buf = self._batch
+        full_replan = self.config.force_full_replan
+        validate = self.config.validate_invariants
+        traced = self._obs.enabled
+        tracer = self._obs.tracer
+        clock = _time.perf_counter
         with self._obs.span("sim.run", jobs=self._n_jobs_hint), \
                 self._obs.memory.section("sim.run"):
             while True:
                 self._pump_stream()
-                if not len(self.equeue):
+                if not pending:
                     break
-                batch = self.equeue.pop_batch(self._batch)
-                now = self.now
-                self.cluster.advance(now)
-                self.coordinator.book.advance(now)
-                for ev in batch:
-                    self._events_processed += 1
-                    dispatch[ev.type](ev.payload)
-                self._schedule_pass()
-                if self.config.validate_invariants:
+                batch = equeue.pop_batch(batch_buf)
+                # the one clock read per batch: pop_batch set the clock
+                # to the batch's first time
+                now = self.now = equeue.now
+                cluster.advance(now)
+                book.advance(now)
+                self._events_processed += len(batch)
+                # positional unpacking of the Event layout (see Event)
+                for _t, etype, _seq, job_id, aux in batch:
+                    handlers[etype](job_id, aux)
+                # one scheduling pass per batch unless it is provably a
+                # no-op; force_full_replan runs every pass (seed behaviour)
+                if not full_replan and not queue:
+                    # empty queue: nothing to order or start, and no
+                    # waiting on-demand job for the pre-phase (those sit
+                    # in the queue too); any pending dirtiness is
+                    # consumed, as a no-op pass would
+                    self._sched_dirty = False
+                    self._passes_skipped += 1
+                elif not full_replan and self._can_skip_pass():
+                    self._passes_skipped += 1
+                elif traced:
+                    # the hottest traced region: Tracer.record, not a
+                    # ``with span`` (the pass opens no span inside it)
+                    self._schedule_passes += 1
+                    start = clock()
+                    self._schedule_pass()
+                    tracer.record("sim.pass", start)
+                else:
+                    self._schedule_passes += 1
+                    self._schedule_pass()
+                if validate:
                     self.validate_state()
         # bulk-flush loop totals: one counter call per run, not per event
         obs = self._obs

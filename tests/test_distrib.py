@@ -228,6 +228,24 @@ class TestWorker:
         assert n_shard_records == 4
         assert merge_shards(d).n_new == 4
 
+    def test_idle_worker_leaves_an_empty_shard(self, tmp_path):
+        """A worker creates its shard on start: one that finds every cell
+        already claimed leaves an empty shard, which readers count as a
+        shard with no records."""
+        d = tmp_path / "c"
+        write_spec(d)
+        busy = run_worker(d, shard="w0", poll_s=0.05)
+        assert busy.n_executed == 4
+        idle = run_worker(d, shard="w1", poll_s=0.05)
+        assert idle.n_executed == 0
+        idle_shard = shard_path(d, "w1")
+        assert idle_shard.exists()
+        assert idle_shard.read_text() == ""
+        assert len(known_keys(d)) == 4
+        stats = merge_shards(d)
+        assert stats.n_shards == 2
+        assert stats.n_new == 4
+
     def test_stale_lease_reclaimed_and_grid_completes(self, tmp_path):
         """A lease left by a dead worker never strands its cell."""
         d = tmp_path / "c"

@@ -18,20 +18,21 @@ class TestOrdering:
     def test_same_time_priority_order(self):
         """Finishes before planned preempts before notices before submits."""
         q = EventQueue()
-        q.push(10.0, EventType.JOB_SUBMIT, tag="s")
-        q.push(10.0, EventType.JOB_FINISH, tag="f")
-        q.push(10.0, EventType.RESERVATION_TIMEOUT, tag="t")
-        q.push(10.0, EventType.ADVANCE_NOTICE, tag="n")
-        q.push(10.0, EventType.PLANNED_PREEMPT, tag="p")
-        tags = [q.pop().payload["tag"] for _ in range(5)]
-        assert tags == ["f", "p", "n", "s", "t"]
+        # the job id payload tags each event: 1=f, 2=p, 3=n, 4=s, 5=t
+        q.push(10.0, EventType.JOB_SUBMIT, 4)
+        q.push(10.0, EventType.JOB_FINISH, 1)
+        q.push(10.0, EventType.RESERVATION_TIMEOUT, 5)
+        q.push(10.0, EventType.ADVANCE_NOTICE, 3)
+        q.push(10.0, EventType.PLANNED_PREEMPT, 2)
+        tags = [q.pop().job_id for _ in range(5)]
+        assert tags == [1, 2, 3, 4, 5]
 
     def test_fifo_within_type(self):
         q = EventQueue()
-        q.push(10.0, EventType.JOB_SUBMIT, tag=1)
-        q.push(10.0, EventType.JOB_SUBMIT, tag=2)
-        q.push(10.0, EventType.JOB_SUBMIT, tag=3)
-        assert [q.pop().payload["tag"] for _ in range(3)] == [1, 2, 3]
+        q.push(10.0, EventType.JOB_SUBMIT, 1)
+        q.push(10.0, EventType.JOB_SUBMIT, 2)
+        q.push(10.0, EventType.JOB_SUBMIT, 3)
+        assert [q.pop().job_id for _ in range(3)] == [1, 2, 3]
 
     def test_clock_advances_on_pop(self):
         q = EventQueue()
@@ -94,20 +95,20 @@ class TestBatchPriority:
         # submit at t pops before the finish at t + 1e-8 in one batch
         q = EventQueue()
         t = 1.0e8
-        q.push(t + 1e-8, EventType.JOB_FINISH, tag="f")
-        q.push(t, EventType.JOB_SUBMIT, tag="s")
+        q.push(t + 1e-8, EventType.JOB_FINISH, 1)  # f
+        q.push(t, EventType.JOB_SUBMIT, 2)  # s
         batch = q.pop_batch()
-        assert [ev.payload["tag"] for ev in batch] == ["f", "s"]
+        assert [ev.job_id for ev in batch] == [1, 2]
         # the clock stays at the batch's first time, not the later one
         assert q.now == t
 
     def test_batch_sorted_by_type_then_seq(self):
         q = EventQueue()
         t = 3.0e8
-        q.push(t, EventType.JOB_SUBMIT, tag="s1")
-        q.push(t + 1e-8, EventType.ADVANCE_NOTICE, tag="n")
-        q.push(t + 2e-8, EventType.JOB_SUBMIT, tag="s2")
-        q.push(t + 2e-8, EventType.JOB_FINISH, tag="f")
+        q.push(t, EventType.JOB_SUBMIT, 3)  # s1
+        q.push(t + 1e-8, EventType.ADVANCE_NOTICE, 2)  # n
+        q.push(t + 2e-8, EventType.JOB_SUBMIT, 4)  # s2
+        q.push(t + 2e-8, EventType.JOB_FINISH, 1)  # f
         batch = q.pop_batch()
-        assert [ev.payload["tag"] for ev in batch] == ["f", "n", "s1", "s2"]
+        assert [ev.job_id for ev in batch] == [1, 2, 3, 4]
         assert q.now == t

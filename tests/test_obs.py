@@ -15,9 +15,11 @@ export — plus the wiring contracts that make them trustworthy:
   worker increments ``distrib.lease.evictions``.
 """
 
+import gc
 import json
 import os
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,7 @@ from repro.obs.export import (
     trace_data,
     write_trace_data,
 )
+from repro.obs.tracing import SpanRecord
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation
 
@@ -184,6 +187,28 @@ class TestTracer:
         rec = tr.records()[0]
         assert dict(rec.attrs) == {"key": "k", "n": 3}
         assert rec.thread_id == threading.get_ident()
+
+    def test_record_matches_an_empty_with_span(self):
+        """``record`` lands the same SpanRecord shape a ``with span``
+        would: current depth, this thread, no attrs, counted — and
+        stores it as nothing the garbage collector tracks."""
+        tr = Tracer()
+        with tr.span("outer"):
+            start = time.perf_counter()
+            tr.record("inner", start)
+            with tr.span("twin"):
+                pass
+        assert not gc.is_tracked(tr.spans[0])
+        inner, twin, outer = tr.records()
+        assert tr.by_name()["inner"] == [inner]
+        assert type(inner) is SpanRecord
+        assert (inner.name, inner.depth, inner.attrs) == ("inner", 1, ())
+        assert inner.thread_id == twin.thread_id == threading.get_ident()
+        assert inner.depth == twin.depth
+        assert outer.start_s <= inner.start_s <= inner.end_s <= outer.end_s
+        assert inner.start_s == pytest.approx(start - tr.t0)
+        assert tr.n_started == 3
+        NullTracer().record("x", start)  # the disabled twin is a no-op
 
     def test_depth_restored_after_exception(self):
         tr = Tracer()

@@ -335,18 +335,18 @@ def test_pop_batch_keeps_ulp_ties_together_at_large_times():
     # float expressions used to land in *separate* batches
     q = EventQueue()
     t = 3.0e8
-    q.push(t, EventType.JOB_SUBMIT, job_id=1)
-    q.push(math.nextafter(t, math.inf), EventType.JOB_SUBMIT, job_id=2)
+    q.push(t, EventType.JOB_SUBMIT, 1)
+    q.push(math.nextafter(t, math.inf), EventType.JOB_SUBMIT, 2)
     batch = q.pop_batch()
-    assert [e.payload["job_id"] for e in batch] == [1, 2]
+    assert [e.job_id for e in batch] == [1, 2]
     assert len(q) == 0
 
 
 def test_pop_batch_still_splits_genuinely_distinct_times():
     q = EventQueue()
     t = 3.0e8
-    q.push(t, EventType.JOB_SUBMIT, job_id=1)
-    q.push(t + 1.0, EventType.JOB_SUBMIT, job_id=2)
+    q.push(t, EventType.JOB_SUBMIT, 1)
+    q.push(t + 1.0, EventType.JOB_SUBMIT, 2)
     assert len(q.pop_batch()) == 1
     assert len(q.pop_batch()) == 1
 
@@ -354,23 +354,23 @@ def test_pop_batch_still_splits_genuinely_distinct_times():
 def test_pop_batch_small_time_tolerance_unchanged():
     # at ordinary trace times the seed's 1e-9 still applies
     q = EventQueue()
-    q.push(100.0, EventType.JOB_SUBMIT, job_id=1)
-    q.push(100.0 + 5e-10, EventType.JOB_SUBMIT, job_id=2)
-    q.push(100.0 + 1e-6, EventType.JOB_SUBMIT, job_id=3)
+    q.push(100.0, EventType.JOB_SUBMIT, 1)
+    q.push(100.0 + 5e-10, EventType.JOB_SUBMIT, 2)
+    q.push(100.0 + 1e-6, EventType.JOB_SUBMIT, 3)
     assert len(q.pop_batch()) == 2
     assert len(q.pop_batch()) == 1
 
 
 def test_pop_batch_reuses_the_out_list():
     q = EventQueue()
-    q.push(1.0, EventType.JOB_SUBMIT, job_id=1)
-    q.push(2.0, EventType.JOB_SUBMIT, job_id=2)
+    q.push(1.0, EventType.JOB_SUBMIT, 1)
+    q.push(2.0, EventType.JOB_SUBMIT, 2)
     out = []
     first = q.pop_batch(out)
     assert first is out and len(out) == 1
     second = q.pop_batch(out)
     assert second is out and len(out) == 1
-    assert out[0].payload["job_id"] == 2
+    assert out[0].job_id == 2
 
 
 # ----------------------------------------------------------------------
