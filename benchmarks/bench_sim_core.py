@@ -1,18 +1,19 @@
 """Simulator-core throughput: incremental scheduling vs full replanning.
 
-The incremental core (PR 5) keeps a shared availability timeline updated
+The incremental core keeps a shared availability timeline updated
 through the simulator's mutation funnel and skips scheduling passes that
-provably cannot change a decision; ``SimConfig.force_full_replan=True``
-restores the seed behaviour (re-derive every planner input from scratch
-inside every pass, never skip).  This benchmark runs synthetic
+provably cannot change a decision; the test suite's full-replan oracle
+(``tests/replan_oracle.py``) plans the seed's way (re-derive the
+availability profile from scratch inside every pass, never skip a stale
+batch).  This benchmark runs synthetic
 1k/5k/10k-job scenarios — a near-saturated 4096-node machine packed
 with small jobs, so the running set (and therefore the per-pass rebuild
 the seed paid for) is large — across mechanisms and both backfill
 planners, and asserts the ISSUE floor:
 
-* **>= 3x wall-clock speedup** over ``force_full_replan=True`` at 10k
+* **>= 3x wall-clock speedup** over the full-replan oracle at 10k
   jobs (aggregated over the EASY scenarios; typically it is >20x);
-* **byte-identical metrics** between the two modes for every scenario
+* **byte-identical metrics** between the two for every scenario
   (``replan_invariant_view`` masks only wall-clock fields and the
   executed/skipped pass counters).
 
@@ -32,18 +33,17 @@ scenario (default 100k jobs, ~1 min with the tracemalloc pass);
 
 import contextlib
 import cProfile
+import gc
 import os
+import pathlib
 import pstats
+import sys
 import time
 
 from repro.core.mechanisms import Mechanism
 from repro.metrics.breakdown import ondemand_by_notice_class, waste_by_type
 from repro.metrics.report import format_table
-from repro.metrics.summary import (
-    deterministic_view,
-    replan_invariant_view,
-    summarize,
-)
+from repro.metrics.summary import deterministic_view, summarize
 from repro.perf.harness import bench, measure
 from repro.perf.record import PerfRecord, canonical_json, current_git_sha
 from repro.perf.scenarios import (
@@ -57,6 +57,9 @@ from repro.sim.simulator import Simulation
 from repro.workload.trace import clone_jobs
 
 from conftest import emit, out_dir, perf_store  # noqa: F401 - fixtures
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from replan_oracle import replan_invariant_view, run_full_replan  # noqa: E402
 
 SIZES = (1_000, 5_000, 10_000)
 ASSERT_AT = 10_000
@@ -84,16 +87,23 @@ STREAM_MEMORY_CEILING_BYTES = 64 * 2**20
 #: throughput (measured ~24k events/s; CI runners get wide headroom)
 STREAM_EVENTS_PER_S_FLOOR = 4_000.0
 
+#: interleaved disabled/enabled rounds of the obs overhead check; the
+#: best of each mode is compared, so more rounds make it likelier that
+#: both bests come from a quiet stretch of a shared machine
+OBS_ROUNDS = 9
 
-def _run(jobs, config, mech_name):
-    """One timed simulation; returns (measurement, result)."""
+
+def _run(jobs, config, mech_name, oracle=False):
+    """One timed simulation, by :class:`Simulation` or (*oracle*) by the
+    full-replan oracle; returns (measurement, result)."""
     mech = Mechanism.parse(mech_name) if mech_name else None
     holder = {}
 
     def once():
-        result = holder["result"] = Simulation(
-            clone_jobs(jobs), config, mech
-        ).run()
+        args = (clone_jobs(jobs), config, mech)
+        result = holder["result"] = (
+            run_full_replan(*args) if oracle else Simulation(*args).run()
+        )
         return {
             "events_processed": float(result.events_processed),
             "schedule_passes": float(result.schedule_passes),
@@ -111,8 +121,8 @@ def test_incremental_core_speedup(emit, perf_store):  # noqa: F811
     for n_jobs in SIZES:
         jobs = synth_jobs(n_jobs)
         for mech_name in MECHANISMS:
-            inc_m, inc = _run(jobs, _config(False), mech_name)
-            full_m, full = _run(jobs, _config(True), mech_name)
+            inc_m, inc = _run(jobs, _config(), mech_name)
+            full_m, full = _run(jobs, _config(), mech_name, oracle=True)
             assert replan_invariant_view(summarize(inc)) == (
                 replan_invariant_view(summarize(full))
             ), f"metric drift at n={n_jobs} mech={mech_name}"
@@ -161,7 +171,7 @@ def test_incremental_core_speedup(emit, perf_store):  # noqa: F811
             rows,
             title=(
                 "Simulator core: incremental availability profile + pass "
-                f"skipping vs force_full_replan (speedup@10k="
+                f"skipping vs the full-replan oracle (speedup@10k="
                 f"{speedups.get(ASSERT_AT, float('nan')):.1f}x)"
             ),
         ),
@@ -186,8 +196,9 @@ def test_conservative_planner_speedup(emit, perf_store):  # noqa: F811
     """Conservative backfilling builds its per-pass working profile from
     the shared timeline without sorting; smaller win, same equivalence."""
     jobs = synth_jobs(1_000)
-    inc_m, inc = _run(jobs, _config(False, "conservative"), None)
-    full_m, full = _run(jobs, _config(True, "conservative"), None)
+    config = _config("conservative")
+    inc_m, inc = _run(jobs, config, None)
+    full_m, full = _run(jobs, config, None, oracle=True)
     inc_s, full_s = inc_m.wall_time_s, full_m.wall_time_s
     assert replan_invariant_view(summarize(inc)) == (
         replan_invariant_view(summarize(full))
@@ -332,11 +343,15 @@ def test_obs_overhead(emit):  # noqa: F811
       span, and memory-section objects is microbenchmarked, multiplied
       by the number of hook calls the disabled path makes in the 10k
       run (counted by one more disabled run against
-      :class:`_CountingNullHooks`), and compared against the run's wall
+      :class:`_CountingNullHooks`), and compared against the run's CPU
       time;
-    * **enabled < 10%**: best-of-three wall clock with a live registry
-      + tracer vs best-of-three with the disabled default, interleaved
-      so machine drift lands on both modes equally.
+    * **enabled < 10%**: best-of-:data:`OBS_ROUNDS` process CPU time
+      with a live registry + tracer vs best-of-:data:`OBS_ROUNDS` with
+      the disabled default, interleaved so machine drift lands on both
+      modes equally.  Each run starts from a fresh ``gc.collect()``
+      with its workload already cloned, so a full collection of the
+      trace lands in neither mode's timing by chance, and CPU time
+      leaves out time the host stole.
 
     Also exports the enabled run's trace + ``obs summary`` text to
     ``benchmarks/out/`` — the CI ``obs-bench`` job uploads both.
@@ -345,18 +360,20 @@ def test_obs_overhead(emit):  # noqa: F811
     from repro.obs.export import render_summary, trace_data, write_trace_data
 
     jobs = synth_jobs(ASSERT_AT)
-    config = _config(False)
+    config = _config()
 
     def run_once():
-        t0 = time.perf_counter()
-        Simulation(clone_jobs(jobs), config, None).run()
-        return time.perf_counter() - t0
+        workload = clone_jobs(jobs)
+        gc.collect()
+        t0 = time.process_time()
+        Simulation(workload, config, None).run()
+        return time.process_time() - t0
 
-    run_once()  # warm caches so round 1 is comparable to round 3
+    run_once()  # warm caches so round 1 is comparable to the last
     # interleave D/E/D/E so machine drift hits both modes equally
     disabled_times, enabled_times = [], []
     doc = None
-    for _round in range(3):
+    for _round in range(OBS_ROUNDS):
         disable()
         disabled_times.append(run_once())
         with enabled_obs() as obs:
@@ -480,7 +497,7 @@ def test_streamed_differential_10k(emit):  # noqa: F811
     to a materialized run of the same workload — same canonical JSON,
     not merely close — for the baseline and the full CUA&SPAA stack.
     """
-    config = _config(False)
+    config = _config()
     rows = []
     for mech_name in MECHANISMS:
         mech = Mechanism.parse(mech_name) if mech_name else None
@@ -578,7 +595,7 @@ def test_profile_artifact(emit):  # noqa: F811
     if os.environ.get("REPRO_BENCH_PROFILE", "1") == "0":
         return
     jobs = synth_jobs(ASSERT_AT)
-    config = _config(False)
+    config = _config()
     profiler = cProfile.Profile()
     profiler.enable()
     result = Simulation(clone_jobs(jobs), config, None).run()

@@ -1,8 +1,8 @@
 """Experiment harness: one driver per paper table/figure.
 
 * :mod:`repro.experiments.config` — experiment-level configuration.
-* :mod:`repro.experiments.runner` — run (trace seed x mechanism) grids,
-  serially or across processes.
+* :mod:`repro.experiments.runner` — run one cell, or a (trace seed x
+  mechanism) grid through the campaign executor.
 * :mod:`repro.experiments.figures` — drivers named after the paper's
   exhibits (``table1``, ``table2``, ``fig3`` ... ``fig7``) returning
   structured results and rendering the same rows/series the paper reports.
@@ -10,11 +10,7 @@
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    run_mechanism_grid,
-    run_one,
-    run_workload_sweep,
-)
+from repro.experiments.runner import run_mechanism_grid, run_one
 from repro.experiments.figures import (
     fig3_size_mix,
     fig4_type_mix,
@@ -31,7 +27,6 @@ __all__ = [
     "ExperimentConfig",
     "run_mechanism_grid",
     "run_one",
-    "run_workload_sweep",
     "headline_comparison",
     "fig3_size_mix",
     "fig4_type_mix",

@@ -152,8 +152,14 @@ def _spec_overrides(spec: WorkloadSpec) -> dict:
 
 def _sim_overrides(sim: SimConfig) -> dict:
     """Non-default simulator knobs not already covered by campaign axes."""
+    # the MTBF exactly as the cell's failure axis rebuilds it from days:
+    # when the round trip through days is inexact, the override keeps
+    # the original value
     failures = (
-        FailureModel(enabled=True, node_mtbf_s=sim.failures.node_mtbf_s)
+        FailureModel(
+            enabled=True,
+            node_mtbf_s=sim.failures.node_mtbf_s / DAY * DAY,
+        )
         if sim.failures.enabled
         else FailureModel.disabled()
     )

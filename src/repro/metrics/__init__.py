@@ -25,7 +25,6 @@ from repro.metrics.summary import (
     SummaryMetrics,
     average_summaries,
     deterministic_view,
-    replan_invariant_view,
     summarize,
 )
 from repro.metrics.report import format_table, format_summary_rows
@@ -39,7 +38,6 @@ __all__ = [
     "SummaryMetrics",
     "average_summaries",
     "deterministic_view",
-    "replan_invariant_view",
     "summarize",
     "format_table",
     "format_summary_rows",

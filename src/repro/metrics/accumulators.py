@@ -1,12 +1,12 @@
 """Streaming metric accumulators: O(in-flight) summaries for O(trace) runs.
 
-The materialized metrics path (:func:`repro.metrics.summary.summarize`,
-:mod:`repro.metrics.breakdown`) groups per-job lists after the run —
-fine at 10k jobs, fatal at month-scale SWF volume where the job list
-*is* the memory wall.  This module is the streaming replacement: the
-simulator feeds every job through a :class:`SummaryAccumulator` exactly
-once, at the moment it leaves the in-flight set (completion, or
-admission for announced no-shows), and the accumulator keeps only
+Grouping per-job lists after the run is fine at 10k jobs and fatal at
+month-scale SWF volume, where the job list *is* the memory wall.  So
+:func:`repro.metrics.summary.summarize` and
+:mod:`repro.metrics.breakdown` read this module instead: the
+simulator feeds every job through a :class:`SummaryAccumulator`
+exactly once, at the moment it leaves the in-flight set (completion,
+or admission for announced no-shows), and the accumulator keeps only
 count/sum/min/max cells and fixed-bucket histograms per
 job-type/notice-class group — O(1) state per group, O(1) work per job.
 

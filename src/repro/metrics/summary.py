@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
-from repro.jobs.job import Job, JobType
+from repro.jobs.job import JobType
 from repro.metrics.accumulators import SummaryAccumulator
 from repro.util.timeconst import HOUR
 
@@ -71,12 +71,12 @@ class SummaryMetrics:
     decision_latency_mean_s: float = 0.0
     #: host wall-clock seconds the simulation took
     wall_time_s: float = 0.0
-    #: events the simulator dispatched (identical across replan modes)
+    #: events the simulator dispatched
     events_processed: int = 0
     #: scheduling passes actually executed
     schedule_passes: int = 0
-    #: passes short-circuited by the incremental core (0 when
-    #: ``force_full_replan`` is set)
+    #: batches whose pass was skipped as a provable no-op (an empty
+    #: queue, or nothing planning-relevant changed)
     passes_skipped: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -133,19 +133,11 @@ WALLCLOCK_METRICS = frozenset(
     }
 )
 
-#: counters that depend on ``SimConfig.force_full_replan`` but on
-#: nothing else: deterministic for a fixed config (so they stay inside
-#: :func:`deterministic_view`), yet legitimately different between
-#: incremental and full-replan runs of the same workload — the
-#: differential equivalence check masks them via
-#: :func:`replan_invariant_view`.
-REPLAN_MODE_METRICS = frozenset({"schedule_passes", "passes_skipped"})
-
 #: simulator-throughput fields added after the first stored campaigns;
 #: :meth:`SummaryMetrics.from_dict` defaults them when absent so old
 #: result stores keep loading
-PERF_METRICS = (
-    WALLCLOCK_METRICS | REPLAN_MODE_METRICS | frozenset({"events_processed"})
+PERF_METRICS = WALLCLOCK_METRICS | frozenset(
+    {"events_processed", "schedule_passes", "passes_skipped"}
 )
 
 
@@ -158,136 +150,46 @@ def deterministic_view(summary) -> dict:
     return {k: v for k, v in summary.items() if k not in WALLCLOCK_METRICS}
 
 
-def replan_invariant_view(summary) -> dict:
-    """:func:`deterministic_view` minus the replan-mode counters.
-
-    Incremental scheduling and ``force_full_replan`` must agree on
-    every field of this view, byte for byte — the contract the
-    differential property tests and ``bench_sim_core`` assert.
-    ``events_processed`` stays *in* the view deliberately: both modes
-    dispatch the identical event stream.
-    """
-    if isinstance(summary, SummaryMetrics):
-        summary = summary.to_dict()
-    return {
-        k: v
-        for k, v in summary.items()
-        if k not in WALLCLOCK_METRICS and k not in REPLAN_MODE_METRICS
-    }
-
-
 def _mean(values: Sequence[float]) -> float:
     vals = [v for v in values if not math.isnan(v)]
     return sum(vals) / len(vals) if vals else math.nan
 
 
+def checked_accumulator(
+    result: SimulationResult, instant_threshold_s: Optional[float] = None
+) -> SummaryAccumulator:
+    """The run's :class:`SummaryAccumulator`, the one source of its
+    summary and breakdown metrics.
+
+    The accumulator counts instant starts at the threshold the
+    simulation was configured with; asking for any other
+    *instant_threshold_s* (``None`` asks for none) raises
+    ``ValueError`` — rerun with ``SimConfig(instant_threshold_s=...)``.
+    """
+    acc = result.accumulator
+    if instant_threshold_s is not None and not math.isclose(
+        acc.instant_threshold_s, instant_threshold_s, abs_tol=1e-12
+    ):
+        raise ValueError(
+            f"the run counted instant starts at {acc.instant_threshold_s} s "
+            f"and cannot be summarised at {instant_threshold_s} s; rerun "
+            "with SimConfig(instant_threshold_s=...)"
+        )
+    return acc
+
+
 def summarize(
-    result: SimulationResult, instant_threshold_s: float = 60.0
+    result: SimulationResult, instant_threshold_s: Optional[float] = None
 ) -> SummaryMetrics:
     """Reduce a run to the paper's metrics.
 
-    ``instant_threshold_s`` should match the simulation config; instant
-    starts in this model happen at the arrival instant (delay 0), so any
-    small threshold gives identical rates — it exists to stay robust if a
-    future mechanism staged starts by a bounded warning window.
-
-    Results carrying a :class:`~repro.metrics.accumulators.SummaryAccumulator`
-    (every simulator run since the streaming core landed) are summarised
-    from its O(1) group cells — the only option for streamed runs, whose
-    ``jobs`` list is empty.  The legacy per-job grouping below remains
-    for hand-built results (unit tests, stored-result tooling) and for a
-    threshold that differs from the one the accumulator was fed with.
+    Read from the run's streaming accumulator (see
+    :func:`checked_accumulator` for *instant_threshold_s*), whose sums
+    are folded in job-completion order — the same order for a streamed
+    and a materialized run of one trace, which is what makes their
+    summaries byte-identical.
     """
-    acc = result.accumulator
-    if acc is not None and math.isclose(
-        acc.instant_threshold_s, instant_threshold_s, abs_tol=1e-12
-    ):
-        return _summarize_accumulated(result, acc)
-    if acc is not None and not result.jobs and (acc.n_jobs or acc.n_noshow):
-        raise ValueError(
-            "streamed result has no per-job list; call summarize with "
-            f"instant_threshold_s={acc.instant_threshold_s} (the value "
-            "the simulation's accumulator was configured with)"
-        )
-    noshows = [j for j in result.jobs if j.no_show]
-    jobs = [j for j in result.jobs if not j.no_show]
-    by_type: Dict[JobType, List[Job]] = {t: [] for t in JobType}
-    for j in jobs:
-        by_type[j.job_type].append(j)
-    rigid = by_type[JobType.RIGID]
-    malleable = by_type[JobType.MALLEABLE]
-    ondemand = by_type[JobType.ONDEMAND]
-
-    capacity = result.system_size * result.horizon
-    allocated = sum(j.stats.allocated_node_seconds for j in jobs)
-    lost = sum(j.stats.lost_node_seconds for j in jobs)
-    wasted_setup = sum(j.stats.wasted_setup_node_seconds for j in jobs)
-    ckpt = sum(j.stats.checkpoint_node_seconds for j in jobs)
-
-    ods_started = [j for j in ondemand if j.stats.first_start is not None]
-    instant = [
-        j for j in ods_started if j.start_delay <= instant_threshold_s + 1e-9
-    ]
-
-    def ratio_preempted(group: List[Job]) -> float:
-        if not group:
-            return 0.0
-        return sum(1 for j in group if j.stats.preemptions > 0) / len(group)
-
-    return SummaryMetrics(
-        mechanism=result.mechanism,
-        n_jobs=len(jobs),
-        n_rigid=len(rigid),
-        n_malleable=len(malleable),
-        n_ondemand=len(ondemand),
-        n_noshow=len(noshows),
-        avg_turnaround_h=_mean([j.turnaround for j in jobs]) / HOUR,
-        avg_turnaround_rigid_h=_mean([j.turnaround for j in rigid]) / HOUR,
-        avg_turnaround_malleable_h=_mean([j.turnaround for j in malleable])
-        / HOUR,
-        avg_turnaround_ondemand_h=_mean([j.turnaround for j in ondemand])
-        / HOUR,
-        instant_start_rate=(len(instant) / len(ondemand)) if ondemand else 0.0,
-        avg_ondemand_delay_s=_mean([j.start_delay for j in ondemand]),
-        preemption_ratio_rigid=ratio_preempted(rigid),
-        preemption_ratio_malleable=ratio_preempted(malleable),
-        shrink_ratio_malleable=(
-            sum(1 for j in malleable if j.stats.shrinks > 0) / len(malleable)
-            if malleable
-            else 0.0
-        ),
-        system_utilization=max(0.0, (allocated - lost - wasted_setup))
-        / capacity,
-        allocated_frac=allocated / capacity,
-        lost_compute_frac=lost / capacity,
-        wasted_setup_frac=wasted_setup / capacity,
-        checkpoint_frac=ckpt / capacity,
-        reserved_idle_frac=result.reserved_idle_node_seconds / capacity,
-        decision_latency_p50_s=result.decision_latency.p50_s,
-        decision_latency_p95_s=result.decision_latency.p95_s,
-        decision_latency_p99_s=result.decision_latency.p99_s,
-        decision_latency_mean_s=result.decision_latency.mean_s,
-        decision_latency_max_s=result.decision_latency.max_s,
-        makespan_h=result.makespan / HOUR,
-        lease_resumes=result.lease_resumes,
-        lease_expands=result.lease_expands,
-        wall_time_s=result.wall_time_s,
-        events_processed=result.events_processed,
-        schedule_passes=result.schedule_passes,
-        passes_skipped=result.passes_skipped,
-    )
-
-
-def _summarize_accumulated(
-    result: SimulationResult, acc: SummaryAccumulator
-) -> SummaryMetrics:
-    """:func:`summarize` from the streaming funnel instead of job lists.
-
-    Field-for-field the same quantities as the legacy grouping; sums are
-    accumulated in job-completion order (the funnel's feed order), which
-    is identical between streamed and materialized runs of one trace —
-    the byte-identity the differential tests assert.
-    """
+    acc = checked_accumulator(result, instant_threshold_s)
     rigid = acc.by_type[JobType.RIGID]
     malleable = acc.by_type[JobType.MALLEABLE]
     ondemand = acc.by_type[JobType.ONDEMAND]

@@ -109,7 +109,6 @@ def synth_jobs(n_jobs: int, seed: int = 2022, load: float = 0.95):
 
 
 def bench_sim_config(
-    force_full_replan: bool = False,
     backfill_mode: str = "easy",
     policy: "str | None" = None,
 ):
@@ -122,7 +121,6 @@ def bench_sim_config(
         checkpoint=CheckpointModel.disabled(),
         backfill_mode=backfill_mode,
         backfill_depth=16,
-        force_full_replan=force_full_replan,
         policy=policy,
     )
 
@@ -133,9 +131,8 @@ def make_sim_core(params: Mapping[str, Any]) -> Scenario:
     Params: ``n_jobs`` (default 1000), ``backfill`` (easy/conservative),
     ``policy`` (any registered dispatcher name, e.g. ``prb_ewt``;
     empty = legacy FCFS), ``mechanism`` (e.g. ``CUA&SPAA``; empty =
-    baseline), ``full_replan`` (0/1), ``stream`` (0/1:
-    generator-backed workload + O(in-flight) simulator memory),
-    ``seed``, ``load``.
+    baseline), ``stream`` (0/1: generator-backed workload +
+    O(in-flight) simulator memory), ``seed``, ``load``.
     """
     from repro.core.mechanisms import Mechanism
     from repro.sim.simulator import Simulation
@@ -150,7 +147,6 @@ def make_sim_core(params: Mapping[str, Any]) -> Scenario:
     # measurement the scenario exists for
     jobs = None if stream else synth_jobs(n_jobs, seed=seed, load=load)
     config = bench_sim_config(
-        force_full_replan=bool(int(params.get("full_replan", 0))),
         backfill_mode=str(params.get("backfill", "easy")),
         policy=str(params.get("policy", "") or "") or None,
     )

@@ -23,9 +23,9 @@ explicit and *incrementally maintained*:
     cannot live in the persistent structure).  Shadow time and the
     extra-node budget (EASY) and the full step-function profile
     (conservative) are queries on this view.  ``from_blocks`` builds a
-    view from a plain block list — the ``force_full_replan`` escape
-    hatch and unit tests use it; it re-sorts every call, which is
-    exactly the seed behaviour the benchmark suite compares against.
+    view from a plain block list, re-sorted on every call: the
+    full-replan reference in the test suite and the planner unit tests
+    build their views that way.
 
 :class:`AvailabilityProfile`
     The mutable free-node step function conservative backfilling plans
@@ -156,9 +156,9 @@ class ProfileView:
     reserved holdings); :meth:`releases` walks future supply in
     ``(release, nodes)`` order.  Backed either by the shared
     :class:`AvailabilityTimeline` plus a small per-pass reservation
-    overlay (incremental mode — no sorting beyond the tiny overlay) or
-    by a plain re-sorted block list (:meth:`from_blocks`; the
-    ``force_full_replan`` baseline and unit tests).
+    overlay (the simulator's view — no sorting beyond the tiny overlay)
+    or by a plain re-sorted block list (:meth:`from_blocks`; the
+    test suite's full-replan reference and unit tests).
     """
 
     __slots__ = ("now", "free", "_timeline", "_overlay", "_static")
@@ -195,9 +195,8 @@ class ProfileView:
         constructing a fresh view — planners never retain the view
         beyond their ``plan()`` call, so reuse is safe and keeps the
         hot path allocation-free.  *overlay* is sorted **in place** and
-        adopted without copying.  Not valid on ``from_blocks`` views
-        (the full-replan escape hatch rebuilds those per pass by
-        design).
+        adopted without copying.  Not valid on ``from_blocks`` views,
+        which are built fresh for each pass by design.
         """
         if self._static is not None:
             raise InvariantViolation(

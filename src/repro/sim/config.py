@@ -43,16 +43,6 @@ class SimConfig:
         Node-failure injection (extension; off by default — the paper's
         simulations inject none).  The seed feeds a dedicated RNG stream
         so enabling failures perturbs no other randomness.
-    force_full_replan:
-        Escape hatch for the incremental scheduling core: rebuild the
-        availability profile from scratch inside every scheduling pass
-        and never skip a pass (the seed behaviour).  Decisions — and
-        therefore every simulation-time metric — are identical either
-        way (asserted by the differential property tests); only
-        wall-clock cost and the ``schedule_passes``/``passes_skipped``
-        counters differ.  Used by ``benchmarks/bench_sim_core.py`` as
-        the baseline and available for debugging suspected incremental
-        drift.
     validate_invariants:
         Run (slow) cross-component consistency checks after every event
         batch; enabled by the test suite.
@@ -71,7 +61,6 @@ class SimConfig:
     flexible_malleable: bool = True
     failures: FailureModel = field(default_factory=FailureModel.disabled)
     failure_seed: int = 0
-    force_full_replan: bool = False
     #: registered policy name (see ``repro.sched.registry``); ``None``
     #: keeps the legacy default (FCFS ordering + ``backfill_mode``'s
     #: planner).  A dispatcher that forces a planner (``easy`` /

@@ -25,9 +25,9 @@ scheduling pass of batches that provably cannot change any decision — an
 event batch made entirely of stale events, or any batch with an empty
 wait queue.  The wait queue itself is kept sorted by the policy's
 static key as jobs enter and leave it, so a time-invariant policy needs
-no per-pass sort.  ``SimConfig.force_full_replan`` restores the seed
-behaviour (full per-pass rebuild, no skipping); decisions and metrics
-are identical in both modes.
+no per-pass sort.  The full-replan reference these shortcuts are
+checked against (rebuild the profile from the running set every pass,
+never skip a stale batch) lives in the test suite.
 """
 
 from __future__ import annotations
@@ -174,9 +174,8 @@ class SimulationResult:
     failures_injected: int = 0
     #: populated when SimConfig.log_decisions is set
     log: Optional[SchedulerLog] = None
-    #: the streaming metrics funnel, fed at job completion; for streamed
-    #: runs (``jobs == []``) it is the *only* source of summary/breakdown
-    #: metrics
+    #: the streaming metrics funnel, fed at job completion: the one
+    #: source of summary and breakdown metrics
     accumulator: Optional[SummaryAccumulator] = None
 
     @property
@@ -312,8 +311,8 @@ class Simulation:
             self.jobs = []
             stream = as_stream(jobs)
             self._n_jobs_hint = -1
-        #: the job-finish metrics funnel: the only source of summary and
-        #: breakdown metrics for streams, which keep no job list
+        #: the job-finish metrics funnel: the one source of summary and
+        #: breakdown metrics
         self.metrics = SummaryAccumulator(
             instant_threshold_s=self.config.instant_threshold_s
         )
@@ -378,10 +377,8 @@ class Simulation:
         self._schedule_passes = 0
         self._passes_skipped = 0
         #: incrementally maintained (release, nodes) blocks per running
-        #: job; not maintained under force_full_replan, where every pass
-        #: rebuilds its availability view from scratch instead
+        #: job
         self.timeline = AvailabilityTimeline()
-        self._track_timeline = not self.config.force_full_replan
         #: True when something planning-relevant (queue, free pool,
         #: reservations, predicted releases) changed since the last
         #: executed scheduling pass
@@ -652,9 +649,8 @@ class Simulation:
         self.running[job_id] = rj
         self._sched_dirty = True
         self._c_dirty["start"].inc()
-        if self._track_timeline:
-            self.timeline.set_block(job_id, ex.predicted_finish(), nodes)
-            self._c_timeline_upserts.inc()
+        self.timeline.set_block(job_id, ex.predicted_finish(), nodes)
+        self._c_timeline_upserts.inc()
         job.set_state(JobState.RUNNING)
         st = job.stats
         if st.first_start is None:
@@ -712,9 +708,8 @@ class Simulation:
             raise SimulationError(f"preempt of non-running job {job_id}")
         self._sched_dirty = True
         self._c_dirty["preempt"].inc()
-        if self._track_timeline:
-            self.timeline.remove_block(job_id)
-            self._c_timeline_removes.inc()
+        self.timeline.remove_block(job_id)
+        self._c_timeline_removes.inc()
         job = rj.job
         self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
         job.stats.preemptions += 1
@@ -767,11 +762,8 @@ class Simulation:
         self._epochs[rj.job.job_id] = rj.epoch
         self._sched_dirty = True
         self._c_dirty["resize"].inc()
-        if self._track_timeline:
-            self.timeline.set_block(
-                rj.job.job_id, rj.predicted_finish(), rj.nodes
-            )
-            self._c_timeline_upserts.inc()
+        self.timeline.set_block(rj.job.job_id, rj.predicted_finish(), rj.nodes)
+        self._c_timeline_upserts.inc()
         self.equeue.push(
             rj.execution.finish_time(), EventType.JOB_FINISH,
             rj.job.job_id, rj.epoch,
@@ -842,9 +834,8 @@ class Simulation:
             return  # stale event from before a resize/preemption
         self._sched_dirty = True
         self._c_dirty["finish"].inc()
-        if self._track_timeline:
-            self.timeline.remove_block(job_id)
-            self._c_timeline_removes.inc()
+        self.timeline.remove_block(job_id)
+        self._c_timeline_removes.inc()
         job = rj.job
         now = self.now
         self._fold_segment(rj, rj.execution.complete(now), preempted=False)
@@ -976,16 +967,9 @@ class Simulation:
         self, usable: int, active: Sequence[Reservation]
     ) -> ProfileView:
         """This instant's planner-facing availability profile."""
-        overlay = self._reservation_blocks(active)
-        if not self._track_timeline:
-            # seed behaviour: re-derive every block from the running set
-            blocks = [
-                (rj.predicted_finish(), rj.nodes)
-                for rj in self.running.values()
-            ]
-            blocks.extend(overlay)
-            return ProfileView.from_blocks(self.now, usable, blocks)
-        return self._view.reset(self.now, usable, overlay)
+        return self._view.reset(
+            self.now, usable, self._reservation_blocks(active)
+        )
 
     def _has_clock_tracking_block(self) -> bool:
         """Does any reservation pseudo-block's release move with ``now``?
@@ -1120,13 +1104,12 @@ class Simulation:
                 f"reservations hold {self.coordinator.book.total_held} nodes "
                 f"but only {self.cluster.free} are free"
             )
-        if self._track_timeline:
-            self.timeline.validate_against(
-                {
-                    job_id: (rj.predicted_finish(), rj.nodes)
-                    for job_id, rj in self.running.items()
-                }
-            )
+        self.timeline.validate_against(
+            {
+                job_id: (rj.predicted_finish(), rj.nodes)
+                for job_id, rj in self.running.items()
+            }
+        )
 
     # ------------------------------------------------------------------
     # Main loop
@@ -1151,7 +1134,6 @@ class Simulation:
         book = self.coordinator.book
         queue = self.queue  # mutated in place, never rebound
         batch_buf = self._batch
-        full_replan = self.config.force_full_replan
         validate = self.config.validate_invariants
         traced = self._obs.enabled
         tracer = self._obs.tracer
@@ -1172,16 +1154,15 @@ class Simulation:
                 # positional unpacking of the Event layout (see Event)
                 for _t, etype, _seq, job_id, aux in batch:
                     handlers[etype](job_id, aux)
-                # one scheduling pass per batch unless it is provably a
-                # no-op; force_full_replan runs every pass (seed behaviour)
-                if not full_replan and not queue:
+                # one scheduling pass per batch unless it is provably a no-op
+                if not queue:
                     # empty queue: nothing to order or start, and no
                     # waiting on-demand job for the pre-phase (those sit
                     # in the queue too); any pending dirtiness is
                     # consumed, as a no-op pass would
                     self._sched_dirty = False
                     self._passes_skipped += 1
-                elif not full_replan and self._can_skip_pass():
+                elif self._can_skip_pass():
                     self._passes_skipped += 1
                 elif traced:
                     # the hottest traced region: Tracer.record, not a

@@ -1,19 +1,19 @@
 """Tests for the experiment harness: configs, runner, figure drivers, CLI."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.experiments import figures
 from repro.experiments.cli import main as cli_main
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    run_mechanism_grid,
-    run_one,
-    run_workload_sweep,
-)
+from repro.experiments.runner import run_mechanism_grid, run_one
+from repro.metrics.summary import average_summaries, deterministic_view
 from repro.sim.config import SimConfig
+from repro.sim.failures import FailureModel
 from repro.util.errors import ConfigurationError
-from repro.workload.spec import W1, W5, theta_spec
+from repro.workload.spec import W5, theta_spec
 
 #: tiny-but-nonempty campaign used across these tests
 QUICK = ExperimentConfig.quick(days=3, n_traces=2, target_load=0.7)
@@ -40,6 +40,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(spec=theta_spec(days=2), **kw)
 
+    def test_campaign_translation_is_exact(self):
+        # 12345.678 s does not survive the failure axis's round trip
+        # through days (x / DAY * DAY != x), so an override carries it
+        sim = replace(
+            QUICK.sim,
+            failures=FailureModel(enabled=True, node_mtbf_s=12345.678),
+        )
+        cells = QUICK.with_sim(sim).to_campaign_spec("exact").expand()
+        assert cells[0].sim_config() == sim
+        assert cells[0].workload_spec() == QUICK.spec
+
     def test_with_spec_and_sim(self):
         spec2 = theta_spec(days=5)
         assert QUICK.with_spec(spec2).spec.days == 5
@@ -65,6 +76,44 @@ class TestRunner:
         assert list(grid.keys()) == [None, "N&PAA"]
         assert grid["N&PAA"].n_jobs > 0
 
+    def test_grid_averages_the_seeds_in_order(self):
+        mech = ALL_MECHANISMS[3]
+        seeds = [2023, 2022]
+        grid = run_mechanism_grid(QUICK.spec, [mech], seeds, sim=QUICK.sim)
+        direct = average_summaries(
+            [run_one(QUICK.spec, seed, mech, QUICK.sim) for seed in seeds]
+        )
+        assert deterministic_view(grid[mech.name]) == (
+            deterministic_view(direct)
+        )
+
+    def test_grid_drops_failed_cells_and_raises_when_all_fail(
+        self, monkeypatch
+    ):
+        from repro.campaign import executor
+
+        ok_seed, bad_seed = QUICK.seeds()
+        real_run_one = executor.run_one
+
+        def flaky(spec, seed, mechanism, *args, **kwargs):
+            if mechanism is None or seed == bad_seed:
+                raise RuntimeError("injected cell failure")
+            return real_run_one(spec, seed, mechanism, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_one", flaky)
+        mech = ALL_MECHANISMS[0]
+        grid = run_mechanism_grid(
+            QUICK.spec, [mech], QUICK.seeds(), sim=QUICK.sim
+        )
+        alone = real_run_one(QUICK.spec, ok_seed, mech, QUICK.sim)
+        assert deterministic_view(grid[mech.name]) == (
+            deterministic_view(alone)
+        )
+        with pytest.raises(RuntimeError, match="injected cell failure"):
+            run_mechanism_grid(
+                QUICK.spec, [None, mech], QUICK.seeds(), sim=QUICK.sim
+            )
+
     def test_grid_parallel_matches_serial(self):
         serial = run_mechanism_grid(
             QUICK.spec, [ALL_MECHANISMS[2]], QUICK.seeds(), sim=QUICK.sim, workers=1
@@ -75,17 +124,6 @@ class TestRunner:
         a, b = serial["CUA&PAA"], parallel["CUA&PAA"]
         assert a.system_utilization == pytest.approx(b.system_utilization)
         assert a.avg_turnaround_h == pytest.approx(b.avg_turnaround_h)
-
-    def test_workload_sweep_shape(self):
-        sweep = run_workload_sweep(
-            QUICK.spec,
-            [W1, W5],
-            [ALL_MECHANISMS[0]],
-            QUICK.seeds()[:1],
-            sim=QUICK.sim,
-        )
-        assert set(sweep) == {"W1", "W5"}
-        assert "N&PAA" in sweep["W1"]
 
 
 class TestFigureDrivers:

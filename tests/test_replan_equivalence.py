@@ -2,11 +2,12 @@
 
 The incremental core (shared availability timeline + pass skipping) is a
 pure performance refactor: for any workload, any mechanism, and either
-backfill planner, a run with the default incremental mode must produce
-**byte-identical** simulation outcomes to ``force_full_replan=True`` —
+backfill planner, :class:`~repro.sim.simulator.Simulation` must produce
+**byte-identical** simulation outcomes to the full-replan oracle
+(:class:`replan_oracle.FullReplanSimulation`, which rebuilds every
+pass's profile from the running set and never skips a stale batch) —
 per-job timings and statistics, and every :class:`SummaryMetrics` field
-except the explicitly wall-clock/replan-mode ones masked by
-:func:`repro.metrics.summary.replan_invariant_view`.
+except the wall-clock ones and the executed/skipped pass counters.
 
 Scenarios come from the invariant suite's seeded random trace generator
 (mixed rigid/malleable/on-demand with all notice classes), so every
@@ -21,11 +22,12 @@ import sys
 import pytest
 
 sys.path.insert(0, "tests")
+from replan_oracle import replan_invariant_view, run_full_replan  # noqa: E402
 from test_simulator_invariants import SYSTEM, random_trace  # noqa: E402
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.jobs.checkpoint import CheckpointModel
-from repro.metrics.summary import replan_invariant_view, summarize
+from repro.metrics.summary import summarize
 from repro.sched.registry import policy_names
 from repro.sim.config import SimConfig
 from repro.sim.failures import FailureModel
@@ -77,12 +79,7 @@ def _run_both(jobs, config, mechanism, policy=None):
     incremental = Simulation(
         clone_jobs(jobs), config, mechanism, policy
     ).run()
-    full = Simulation(
-        clone_jobs(jobs),
-        SimConfig(**{**config.__dict__, "force_full_replan": True}),
-        mechanism,
-        policy,
-    ).run()
+    full = run_full_replan(clone_jobs(jobs), config, mechanism, policy)
     return incremental, full
 
 
@@ -96,13 +93,14 @@ def assert_equivalent(jobs, config, mechanism, policy=None):
         replan_invariant_view(summarize(full)), sort_keys=True
     )
     assert inc_view == full_view
-    # and the mode split itself behaves as documented
-    assert full.passes_skipped == 0
+    # and the pass split itself behaves as documented: the same batches,
+    # of which the oracle skips only the empty-queue ones
     assert incremental.events_processed == full.events_processed
     assert (
         incremental.schedule_passes + incremental.passes_skipped
-        == full.schedule_passes
+        == full.schedule_passes + full.passes_skipped
     )
+    assert full.passes_skipped <= incremental.passes_skipped
     return incremental, full
 
 
@@ -204,5 +202,5 @@ def test_incremental_actually_skips_passes():
     incremental, full = _run_both(
         jobs, _config(), Mechanism.parse("CUP&SPAA")
     )
-    assert incremental.passes_skipped > 0
+    assert incremental.passes_skipped > full.passes_skipped
     assert incremental.schedule_passes < full.schedule_passes

@@ -78,16 +78,42 @@ class TestConfigPropagation:
     def test_instant_threshold_affects_metric_only(self):
         from repro.metrics.summary import summarize
 
-        jobs = [
-            rigid(1, 0.0, size=100, runtime=1000.0),
-            Job(job_id=2, job_type=JobType.ONDEMAND, submit_time=500.0,
-                size=10, runtime=100.0, estimate=100.0),
+        def jobs():
+            return [
+                rigid(1, 0.0, size=100, runtime=1000.0),
+                Job(job_id=2, job_type=JobType.ONDEMAND, submit_time=500.0,
+                    size=10, runtime=100.0, estimate=100.0),
+            ]
+
+        strict = Simulation(jobs(), cfg(instant_threshold_s=60.0)).run()
+        lenient = Simulation(jobs(), cfg(instant_threshold_s=600.0)).run()
+        # the threshold changes no decision: every job runs identically
+        assert [
+            (j.job_id, j.stats.first_start, j.stats.end_time)
+            for j in strict.jobs
+        ] == [
+            (j.job_id, j.stats.first_start, j.stats.end_time)
+            for j in lenient.jobs
         ]
-        res = Simulation(jobs, cfg(), None).run()
-        od = next(j for j in res.jobs if j.is_ondemand)
+        od = next(j for j in strict.jobs if j.is_ondemand)
         assert od.start_delay == pytest.approx(500.0)
-        assert summarize(res, instant_threshold_s=60.0).instant_start_rate == 0.0
-        assert summarize(res, instant_threshold_s=600.0).instant_start_rate == 1.0
+        assert summarize(strict).instant_start_rate == 0.0
+        assert summarize(lenient).instant_start_rate == 1.0
+        # the run's own threshold may be named explicitly
+        assert summarize(lenient, instant_threshold_s=600.0).to_dict() == (
+            summarize(lenient).to_dict()
+        )
+
+    def test_summary_at_a_mismatched_threshold_is_rejected(self):
+        from repro.metrics.breakdown import ondemand_by_notice_class
+        from repro.metrics.summary import summarize
+
+        res = Simulation([rigid(1)], cfg(instant_threshold_s=60.0)).run()
+        assert res.jobs  # a materialized run, with its job list
+        with pytest.raises(ValueError, match="instant_threshold_s"):
+            summarize(res, instant_threshold_s=600.0)
+        with pytest.raises(ValueError, match="instant_threshold_s"):
+            ondemand_by_notice_class(res, instant_threshold_s=600.0)
 
 
 class TestPolicyPlugin:

@@ -9,6 +9,8 @@ right after a checkpoint, early arrival cancelling a CUP plan, reservation
 timeout, and the baseline's no-special-treatment behaviour.
 """
 
+import sys
+
 import pytest
 
 from repro.core.mechanisms import Mechanism
@@ -17,6 +19,9 @@ from repro.jobs.job import Job, JobState, JobType, NoticeClass
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation
 from repro.util.errors import SimulationError
+
+sys.path.insert(0, "tests")
+from replan_oracle import run_full_replan  # noqa: E402
 
 
 def rigid(job_id, submit, size, runtime, estimate=None, setup=0.0):
@@ -465,14 +470,14 @@ class TestResultBookkeeping:
         from repro.workload.trace import clone_jobs
 
         incremental = run(clone_jobs(trace))
-        full = run(clone_jobs(trace), config=cfg(force_full_replan=True))
-        assert full.passes_skipped == 0
-        # every batch runs a pass in full mode; incremental executes no
-        # more than that, and skipped + executed covers the same batches
+        # the oracle runs a pass for every batch with a non-empty queue
+        # (run_full_replan asserts it); incremental executes no more
+        # than that, and skipped + executed covers the same batches
+        full = run_full_replan(clone_jobs(trace), cfg())
         assert incremental.schedule_passes <= full.schedule_passes
         assert (
             incremental.schedule_passes + incremental.passes_skipped
-            == full.schedule_passes
+            == full.schedule_passes + full.passes_skipped
         )
 
     def test_makespan_and_horizon(self):

@@ -22,8 +22,10 @@ Covers the three equivalence contracts the streaming path promises:
 import math
 import os
 import random
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.jobs.job import Job, JobType, NoticeClass
@@ -45,6 +47,14 @@ from repro.workload.spec import theta_spec
 from repro.workload.stream import JobStream, as_stream
 from repro.workload.swf import iter_swf, load_swf, stream_swf
 from repro.workload.theta import ThetaWorkloadGenerator
+
+sys.path.insert(0, "tests")
+from metrics_reference import (  # noqa: E402
+    ondemand_by_notice_class_per_job,
+    summarize_per_job,
+    waste_by_type_per_job,
+)
+from test_simulator_invariants import SYSTEM, random_trace  # noqa: E402
 
 #: small but fully featured: every job type, every notice class, a few
 #: hundred jobs — enough for preemptions, loans, and shrinks to occur
@@ -301,29 +311,79 @@ def test_streamed_result_rejects_per_job_consumers():
         utilization_series(st)
 
 
+def _assert_close(got, want, where):
+    """Equal, with floats to float-summation-order precision."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), where
+    else:
+        assert got == want, where
+
+
 def test_materialized_summary_dispatch_matches_legacy_grouping():
-    """The accumulator path and the legacy per-job grouping agree on a
-    materialized run — the differential that guards ``summarize``'s
-    dispatch.  Agreement is to float-summation-order precision: the
-    accumulator folds in finish order, the legacy grouping in job-id
-    order, so sums can differ by an ULP (exactness is asserted where it
-    matters — streamed vs materialized, which share the accumulator).
+    """The accumulator-backed summary agrees with the per-job reference
+    grouping on a materialized run.  Agreement is to
+    float-summation-order precision: the accumulator folds in finish
+    order, the reference in job-list order, so sums can differ by an
+    ULP (exactness is asserted where it matters — streamed vs
+    materialized, which share the accumulator).
     """
+    config = _sim_config()
     result = Simulation(
         ThetaWorkloadGenerator(SPEC, seed=9).generate(),
-        _sim_config(),
+        config,
         ALL_MECHANISMS[0],
     ).run()
     via_acc = deterministic_view(summarize(result))
-    result.accumulator = None  # force the legacy per-job path
-    via_jobs = deterministic_view(summarize(result))
+    via_jobs = deterministic_view(
+        summarize_per_job(result, config.instant_threshold_s)
+    )
     assert set(via_acc) == set(via_jobs)
     for key, value in via_jobs.items():
-        got = via_acc[key]
-        if isinstance(value, float):
-            assert got == pytest.approx(value, rel=1e-12, abs=1e-12), key
-        else:
-            assert got == value, key
+        _assert_close(via_acc[key], value, key)
+
+
+BREAKDOWN_MECHANISMS = (None, "N&PAA", "CUP&SPAA")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    n_jobs=st.integers(10, 60),
+    mech_name=st.sampled_from(BREAKDOWN_MECHANISMS),
+)
+def test_breakdowns_match_per_job_reference(seed, n_jobs, mech_name):
+    """``ondemand_by_notice_class`` and ``waste_by_type`` read only the
+    accumulator; on random mixed traces they agree with the per-job
+    reference grouping, to the same precision as the summary."""
+    config = SimConfig(system_size=SYSTEM, validate_invariants=True)
+    mechanism = Mechanism.parse(mech_name) if mech_name else None
+    result = Simulation(random_trace(seed, n_jobs), config, mechanism).run()
+
+    got = [vars(o) for o in ondemand_by_notice_class(result)]
+    want = [
+        vars(o)
+        for o in ondemand_by_notice_class_per_job(
+            result, config.instant_threshold_s
+        )
+    ]
+    assert [g["notice_class"] for g in got] == [
+        w["notice_class"] for w in want
+    ]
+    for g, w in zip(got, want):
+        for key, value in w.items():
+            _assert_close(g[key], value, (w["notice_class"], key))
+
+    got_waste = waste_by_type(result)
+    want_waste = waste_by_type_per_job(result)
+    assert list(got_waste) == list(want_waste)
+    for jtype, fields in want_waste.items():
+        assert set(got_waste[jtype]) == set(fields)
+        for key, value in fields.items():
+            _assert_close(got_waste[jtype][key], value, (jtype, key))
 
 
 # ----------------------------------------------------------------------
