@@ -1,10 +1,10 @@
 """Campaign cell throughput on the streamed, trace-cached path.
 
 The streaming campaign pipeline (generator-backed cells, the process-
-wide :class:`~repro.workload.trace_cache.TraceCache`, per-worker
-``SimScratch`` reuse, and trace-affine execution order) exists to make
-many-small-cell grids cheap: every cell of a mechanism x checkpoint
-sweep shares one generated ``(spec, seed)`` trace.  This benchmark runs
+wide :class:`~repro.workload.trace_cache.TraceCache`, and trace-affine
+execution order) exists to make many-small-cell grids cheap: every
+cell of a mechanism x checkpoint sweep shares one generated
+``(spec, seed)`` trace.  This benchmark runs
 the ``campaign_throughput`` scenario — a fig6/fig7-shaped grid of
 baseline + six mechanisms crossed with three checkpoint multipliers,
 21 cells per generated trace — and records its cells/min, and asserts

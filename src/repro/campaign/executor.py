@@ -49,7 +49,6 @@ from repro.campaign.store import CellRecord, ResultStore
 from repro.experiments.runner import run_one
 from repro.jobs.job import JobType
 from repro.obs import enabled_obs, get_obs
-from repro.sim.simulator import process_scratch
 from repro.util.timeconst import WEEK
 from repro.workload.ondemand import burstiness_cv
 from repro.workload.spec import WorkloadSpec
@@ -156,8 +155,7 @@ def execute_cell(
 
     The cell streams: its trace is served off the shared
     :class:`~repro.workload.trace_cache.TraceCache` and jobs are built
-    lazily, so no job list is ever materialized and the simulation's
-    hot-path buffers are reused across the cells this process executes.
+    lazily, so no job list is ever materialized.
     """
     cell = CampaignCell.from_config(config)
     key = cell.key()
@@ -181,7 +179,6 @@ def execute_cell(
                     cell.sim_config(),
                     jobs=_cell_stream(cell, wspec),
                     log_path=log_path,
-                    scratch=process_scratch(),
                 )
                 payload, summary = None, metrics.to_dict()
     except Exception:
@@ -204,23 +201,6 @@ def execute_cell(
     )
 
 
-def execute_cell_traced(
-    config: Mapping[str, object],
-    log_dir: Optional[str] = None,
-) -> Tuple[CellRecord, List[Dict[str, object]], Dict[str, object]]:
-    """:func:`execute_cell` under a private instrumentation bundle.
-
-    The pool path runs cells in subprocesses, whose ring buffers the
-    parent cannot see; this wrapper captures the child's spans and
-    metric snapshot alongside the record so the parent can
-    ``obs.ingest()`` them into one merged trace.  Events are tagged
-    with the child's real pid, so Perfetto shows each pool worker as
-    its own process track.
-    """
-    records, events, metrics = execute_cells_traced([config], log_dir=log_dir)
-    return records[0], events, metrics
-
-
 def execute_cells(
     configs: Sequence[Mapping[str, object]],
     log_dir: Optional[str] = None,
@@ -232,8 +212,7 @@ def execute_cells(
     (:func:`execute_cell` never raises) and the caller still persists
     and reports each record individually.  The whole batch runs under a
     ``campaign.batch`` span, and — because the batch shares this
-    process's trace cache and simulation scratch — its cells amortize
-    parsing and buffer allocation.
+    process's trace cache — its cells amortize trace parsing.
     """
     with get_obs().span("campaign.batch", n_cells=len(configs)):
         return [execute_cell(c, log_dir=log_dir) for c in configs]

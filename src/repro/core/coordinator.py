@@ -24,7 +24,7 @@ Observation 10 ("less than 10 milliseconds to make a decision").
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from repro.core.ledger import Lease, LeaseKind, LenderLedger
 from repro.core.mechanisms import ArrivalStrategy, Mechanism, NoticeStrategy
@@ -33,10 +33,6 @@ from repro.core.reservation import PlannedPreemption, Reservation, ReservationBo
 from repro.core.shrink import ShrinkCandidate, plan_even_shrink
 from repro.jobs.job import Job, JobState
 from repro.util.errors import InvariantViolation
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 
 class RunningView(Protocol):
     """What the coordinator needs to know about one running job."""
@@ -95,8 +91,6 @@ class HybridCoordinator:
         #: wall-clock seconds spent deciding each on-demand arrival
         self.decision_latencies: List[float] = []
         #: counts for reporting
-        self.instant_starts = 0
-        self.deferred_starts = 0
         self.lease_resumes = 0
         self.lease_expands = 0
 

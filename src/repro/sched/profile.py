@@ -190,11 +190,11 @@ class ProfileView:
     ) -> "ProfileView":
         """Re-point this view at a new scheduling instant, in place.
 
-        The simulator owns one timeline-backed view (and one overlay
-        list) for the whole run and re-seats it per pass instead of
-        constructing a fresh view — planners never retain the view
-        beyond their ``plan()`` call, so reuse is safe and keeps the
-        hot path allocation-free.  *overlay* is sorted **in place** and
+        Each simulation owns one timeline-backed view (and one overlay
+        list) for its whole run, and no longer: it re-seats the view
+        per pass instead of constructing a fresh one — planners never
+        retain the view beyond their ``plan()`` call, so reuse is safe
+        and keeps the hot path allocation-free.  *overlay* is sorted **in place** and
         adopted without copying.  Not valid on ``from_blocks`` views,
         which are built fresh for each pass by design.
         """
@@ -210,28 +210,6 @@ class ProfileView:
             self._overlay = overlay
         else:
             self._overlay = overlay if overlay is not None else []
-        return self
-
-    def rebind(self, timeline: Optional[AvailabilityTimeline]) -> "ProfileView":
-        """Re-point this view at a different simulation's timeline.
-
-        The per-worker scratch (:class:`~repro.sim.simulator.SimScratch`)
-        carries one view across the many simulations a campaign worker
-        executes; each new :class:`~repro.sim.simulator.Simulation`
-        rebinds it to its own freshly built timeline before any pass
-        runs.  Clears the overlay and zeroes the instant — the first
-        ``reset()`` of the run re-seats both.  Not valid on
-        ``from_blocks`` views.
-        """
-        if self._static is not None:
-            raise InvariantViolation(
-                "rebind() on a static-block ProfileView; only "
-                "timeline-backed views are reusable"
-            )
-        self._timeline = timeline
-        self._overlay = []
-        self.now = 0.0
-        self.free = 0
         return self
 
     # ------------------------------------------------------------------
@@ -279,46 +257,40 @@ class AvailabilityProfile:
     on ``[times[i], times[i+1])``; the last segment extends to infinity.
     """
 
-    def __init__(self, now: float, free: int, releases: Sequence[Block]):
-        points: Dict[float, int] = {}
-        for t, nodes in releases:
-            key = max(t, now)
-            points[key] = points.get(key, 0) + nodes
+    def __init__(self, now: float, free: int, releases: Iterable[Block] = ()):
         self.times: List[float] = [now]
         self.avail: List[int] = [free]
-        level = free
-        for t in sorted(points):
-            if t <= now + EPS:
-                # already released (defensive; callers pass future ends)
-                self.avail[0] += points[t]
-                level = self.avail[0]
-                continue
-            level += points[t]
-            self.times.append(t)
-            self.avail.append(level)
+        self._add_sorted(sorted(releases))
 
     @classmethod
     def from_sorted(
         cls, now: float, free: int, releases: Iterable[Block]
     ) -> "AvailabilityProfile":
         """Build from releases already in time order, skipping the sort."""
-        prof = cls.__new__(cls)
-        prof.times = [now]
-        prof.avail = [free]
-        level = free
-        for t, nodes in releases:
-            if t <= now + EPS:
-                prof.avail[0] += nodes
-                if len(prof.times) == 1:
-                    level = prof.avail[0]
-                continue
-            level += nodes
-            if prof.times[-1] == t:
-                prof.avail[-1] = level
-            else:
-                prof.times.append(t)
-                prof.avail.append(level)
+        prof = cls(now, free)
+        prof._add_sorted(releases)
         return prof
+
+    def _add_sorted(self, releases: Iterable[Block]) -> None:
+        """Fold time-ordered releases into the step function.
+
+        A release within EPS of the last breakpoint merges into it (the
+        first breakpoint is ``now``, so that covers releases already
+        due), the rule :meth:`_insert_breakpoint` applies too: no two
+        breakpoints lie within EPS of each other, so the EPS-widened
+        segment range :meth:`reserve` touches starts exactly at the
+        reserved start.
+        """
+        times = self.times
+        avail = self.avail
+        level = avail[-1]
+        for t, nodes in releases:
+            level += nodes
+            if t <= times[-1] + EPS:
+                avail[-1] = level
+            else:
+                times.append(t)
+                avail.append(level)
 
     def earliest_start(self, nodes: int, duration: float) -> float:
         """Earliest time *nodes* nodes stay free for *duration* seconds."""

@@ -2,8 +2,9 @@
 
 * :mod:`repro.sim.events` — event types and deterministic same-time ordering.
 * :mod:`repro.sim.engine` — the event heap / simulation clock.
-* :mod:`repro.sim.cluster` — node-count accounting for a machine of
-  identical nodes (allocation is at node granularity, jobs are exclusive).
+* :mod:`repro.sim.cluster` — free-pool counts for a machine of identical
+  nodes (allocation is at node granularity, jobs are exclusive; each
+  running job's record in the simulator holds its own node count).
 * :mod:`repro.sim.simulator` — the :class:`Simulation` that ties the job
   models, scheduling policy, and hybrid-workload coordinator together.
 """
@@ -13,12 +14,7 @@ from repro.sim.engine import EventQueue
 from repro.sim.events import Event, EventType
 from repro.sim.failures import FailureModel
 from repro.sim.schedlog import LogEntry, LogKind, SchedulerLog
-from repro.sim.simulator import (
-    SimScratch,
-    Simulation,
-    SimulationResult,
-    process_scratch,
-)
+from repro.sim.simulator import Simulation, SimulationResult
 
 __all__ = [
     "Cluster",
@@ -29,8 +25,6 @@ __all__ = [
     "EventQueue",
     "Event",
     "EventType",
-    "SimScratch",
     "Simulation",
     "SimulationResult",
-    "process_scratch",
 ]

@@ -33,7 +33,6 @@ never skip a stale batch) lives in the test suite.
 from __future__ import annotations
 
 import math
-import threading
 import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -70,15 +69,32 @@ Execution = Union[RigidExecution, MalleableExecution]
 EPS = 1e-6
 
 
-@dataclass
-class RunningJob:
-    """A running job's simulator-side record (also the coordinator's view)."""
+class JobRecord:
+    """One admitted job's simulator-side state, from admission to retirement.
 
-    job: Job
-    execution: Execution
-    nodes: int
-    epoch: int
-    started_at: float
+    The record is created when the job enters the in-flight window and
+    dropped when it retires; while the job runs, the same object sits in
+    ``Simulation.running`` and serves as the coordinator's
+    ``RunningView``.  It holds the only copy of the job's allocation.
+    """
+
+    __slots__ = ("job", "execution", "nodes", "epoch", "started_at", "memo")
+
+    def __init__(self, job: Job) -> None:
+        self.job = job
+        #: built at the first start and kept across preemptions; ``None``
+        #: until then (see ``Simulation._compute_wall``)
+        self.execution: Optional[Execution] = None
+        #: the allocation while running
+        self.nodes = 0
+        #: bumped on start, preemption and resize: finish and failure
+        #: events carry the epoch they were pushed under, so stale ones
+        #: are recognised and dropped
+        self.epoch = 0
+        self.started_at = 0.0
+        #: ``(nodes, predicted wall)`` while queued; dropped at start
+        #: (see ``Simulation._predict_wall``)
+        self.memo: Optional[Tuple[int, float]] = None
 
     def predicted_finish(self) -> float:
         return self.execution.predicted_finish()
@@ -183,53 +199,6 @@ class SimulationResult:
         return max(self.last_end - self.first_submit, EPS)
 
 
-class SimScratch:
-    """Reusable per-worker simulation scratch buffers.
-
-    A campaign worker runs thousands of short simulations back to back;
-    each one used to allocate its own event-batch list, reservation
-    overlay, and timeline-backed :class:`ProfileView`.  One
-    ``SimScratch`` carries those three across every cell the worker
-    executes: :class:`Simulation` calls :meth:`attach` during
-    construction, which clears the buffers and rebinds the view to the
-    new run's timeline, so no state leaks between cells.  Not
-    thread-safe — one scratch per worker thread
-    (:func:`process_scratch`), and never share one across concurrently
-    running simulations.
-    """
-
-    __slots__ = ("batch", "overlay", "view")
-
-    def __init__(self) -> None:
-        self.batch: List[Event] = []
-        self.overlay: List = []
-        self.view = ProfileView(0.0, 0, timeline=None)
-
-    def attach(self, timeline: AvailabilityTimeline) -> "SimScratch":
-        """Reset the buffers and bind the view to a new run's timeline."""
-        self.batch.clear()
-        self.overlay.clear()
-        self.view.rebind(timeline)
-        return self
-
-
-_SCRATCH_LOCAL = threading.local()
-
-
-def process_scratch() -> SimScratch:
-    """The calling thread's shared :class:`SimScratch` (created lazily).
-
-    Campaign executors and experiment runners pass this to every
-    :class:`Simulation` they construct so a worker's cells reuse one
-    set of hot-path buffers.  Thread-local, so a thread pool gets one
-    scratch per worker thread and a process pool one per process.
-    """
-    scratch = getattr(_SCRATCH_LOCAL, "scratch", None)
-    if scratch is None:
-        scratch = _SCRATCH_LOCAL.scratch = SimScratch()
-    return scratch
-
-
 class Simulation:
     """One trace-driven simulation run.
 
@@ -260,13 +229,6 @@ class Simulation:
         ``None`` to fall back to ``config.policy`` (and to FCFS when
         that is unset too).  A named dispatcher that forces a planner
         ("easy"/"conservative") overrides ``config.backfill_mode``.
-    scratch:
-        Optional :class:`SimScratch` whose hot-path buffers this run
-        adopts instead of allocating its own (campaign workers share
-        one scratch across all their cells; see
-        :func:`process_scratch`).  Reset on attach, so no state leaks
-        from the previous run; must not be shared by concurrently
-        running simulations.
     """
 
     def __init__(
@@ -275,7 +237,6 @@ class Simulation:
         config: Optional[SimConfig] = None,
         mechanism: Optional[Mechanism] = None,
         policy: Union[None, str, SchedulingPolicy] = None,
-        scratch: Optional[SimScratch] = None,
     ) -> None:
         self.config = config or SimConfig()
         self.mechanism = mechanism
@@ -316,8 +277,9 @@ class Simulation:
         self.metrics = SummaryAccumulator(
             instant_threshold_s=self.config.instant_threshold_s
         )
-        #: the in-flight window: admitted jobs that are not yet retired
-        self.jobs_by_id: Dict[int, Job] = {}
+        #: the in-flight window: one record per admitted job that is not
+        #: yet retired
+        self.records: Dict[int, JobRecord] = {}
         self._stream_it: Iterator[Job] = iter(stream)
         # +1 s pad: admission only ever moves *earlier*, and the pad
         # absorbs producers whose declared horizon is exact-to-the-ULP
@@ -367,12 +329,8 @@ class Simulation:
         self._queue_key = static_key or attrgetter("job_id")
         #: the on-demand jobs in the wait queue, by id
         self._waiting_od: Dict[int, Job] = {}
-        self.running: Dict[int, RunningJob] = {}
-        self._executions: Dict[int, Execution] = {}
-        #: job_id -> (nodes, predicted wall) for queued jobs (see
-        #: _predict_wall)
-        self._wall_memo: Dict[int, Tuple[int, float]] = {}
-        self._epochs: Dict[int, int] = {}
+        #: the running jobs' records (the same objects as in ``records``)
+        self.running: Dict[int, JobRecord] = {}
         self._events_processed = 0
         self._schedule_passes = 0
         self._passes_skipped = 0
@@ -411,17 +369,9 @@ class Simulation:
         # Hot-path reuse: one batch list, one reservation-overlay list,
         # and one timeline-backed ProfileView serve the whole run, so
         # the per-batch loop allocates nothing for its fixed machinery.
-        # A caller-supplied SimScratch extends the reuse across runs:
-        # campaign workers hand every cell's Simulation the same scratch.
-        if scratch is not None:
-            scratch.attach(self.timeline)
-            self._batch = scratch.batch
-            self._resv_overlay = scratch.overlay
-            self._view = scratch.view
-        else:
-            self._batch = []
-            self._resv_overlay = []
-            self._view = ProfileView(0.0, 0, timeline=self.timeline)
+        self._batch: List[Event] = []
+        self._resv_overlay: List = []
+        self._view = ProfileView(0.0, 0, timeline=self.timeline)
 
     # ------------------------------------------------------------------
     def _validate_job(self, job: Job) -> None:
@@ -492,7 +442,7 @@ class Simulation:
         if job.submit_time > self._last_admit_submit:
             self._last_admit_submit = job.submit_time
         self._validate_job(job)
-        if job.job_id in self.jobs_by_id:
+        if job.job_id in self.records:
             raise ConfigurationError(f"duplicate job id {job.job_id}")
         if job.submit_time < self._admit_first_submit:
             self._admit_first_submit = job.submit_time
@@ -511,7 +461,7 @@ class Simulation:
                 return  # pushes no events: nothing to retain
         else:
             self._n_arrivals_admitted += 1
-        self.jobs_by_id[job.job_id] = job
+        self.records[job.job_id] = JobRecord(job)
         if not job.no_show:
             self.equeue.push(job.submit_time, EventType.JOB_SUBMIT, job.job_id)
         if noticed:
@@ -526,12 +476,9 @@ class Simulation:
         :meth:`lookup_job` reports a retired job as ``None`` and every
         coordinator path treats that as "already done", while stale
         finish/failure events bounce off the epoch guard before touching
-        ``jobs_by_id``.
+        ``records``.
         """
-        self.jobs_by_id.pop(job_id, None)
-        self._executions.pop(job_id, None)
-        self._wall_memo.pop(job_id, None)
-        self._epochs.pop(job_id, None)
+        self.records.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # SimulatorOps surface (driven by the coordinator)
@@ -540,7 +487,7 @@ class Simulation:
         """Free nodes not held by any reservation."""
         return self.cluster.free - self.coordinator.book.total_held
 
-    def running_views(self) -> List[RunningJob]:
+    def running_views(self) -> List[JobRecord]:
         return list(self.running.values())
 
     def lookup_job(self, job_id: int) -> Optional[Job]:
@@ -551,7 +498,8 @@ class Simulation:
         completed before its on-demand borrower) sees ``None`` — which
         callers treat as "job already done".
         """
-        return self.jobs_by_id.get(job_id)
+        rec = self.records.get(job_id)
+        return rec.job if rec is not None else None
 
     def push_planned_preempt(self, fire: float, od_id: int, victim_id: int) -> None:
         self.equeue.push(
@@ -598,20 +546,15 @@ class Simulation:
         del self._queue_keys[i]
         self._waiting_od.pop(job.job_id, None)
 
-    def _execution_for(self, job: Job) -> Execution:
-        ex = self._executions.get(job.job_id)
-        if ex is None:
-            if job.is_malleable:
-                ex = MalleableExecution(job)
-            else:
-                if job.is_rigid:
-                    interval = self.config.checkpoint.interval(job.size)
-                    cost = self.config.checkpoint.cost(job.size)
-                else:  # on-demand jobs never checkpoint
-                    interval, cost = math.inf, 0.0
-                ex = RigidExecution(job, interval=interval, cost=cost)
-            self._executions[job.job_id] = ex
-        return ex
+    def _new_execution(self, job: Job) -> Execution:
+        if job.is_malleable:
+            return MalleableExecution(job)
+        if job.is_rigid:
+            interval = self.config.checkpoint.interval(job.size)
+            cost = self.config.checkpoint.cost(job.size)
+        else:  # on-demand jobs never checkpoint
+            interval, cost = math.inf, 0.0
+        return RigidExecution(job, interval=interval, cost=cost)
 
     def _start_job(
         self,
@@ -622,9 +565,10 @@ class Simulation:
         """Start *job* on *nodes* nodes, borrowing per *loans* if given."""
         job_id = job.job_id
         self._dequeue(job)
-        self._wall_memo.pop(job_id, None)
+        rec = self.records[job_id]
+        rec.memo = None
         t = self.now
-        self.cluster.start_job(job_id, nodes)
+        self.cluster.allocate(nodes)
         if loans:
             for rid, k in loans.items():
                 res = self.coordinator.book.get(rid)
@@ -633,7 +577,9 @@ class Simulation:
                         f"loan from vanished reservation {rid} for job {job_id}"
                     )
                 self.coordinator.book.loan_out(res, job_id, k)
-        ex = self._execution_for(job)
+        ex = rec.execution
+        if ex is None:
+            ex = rec.execution = self._new_execution(job)
         if isinstance(ex, MalleableExecution):
             ex.start_segment(t, nodes)
         else:
@@ -643,10 +589,10 @@ class Simulation:
                     f"{nodes} != {job.size} nodes"
                 )
             ex.start_segment(t)
-        epoch = self._epochs.get(job_id, 0) + 1
-        self._epochs[job_id] = epoch
-        rj = RunningJob(job=job, execution=ex, nodes=nodes, epoch=epoch, started_at=t)
-        self.running[job_id] = rj
+        rec.nodes = nodes
+        rec.epoch += 1
+        rec.started_at = t
+        self.running[job_id] = rec
         self._sched_dirty = True
         self._c_dirty["start"].inc()
         self.timeline.set_block(job_id, ex.predicted_finish(), nodes)
@@ -657,8 +603,10 @@ class Simulation:
             st.first_start = t
         st.last_start = t
         st.segment_sizes.append(nodes)
-        self.equeue.push(ex.finish_time(), EventType.JOB_FINISH, job_id, epoch)
-        self._maybe_schedule_failure(rj)
+        self.equeue.push(
+            ex.finish_time(), EventType.JOB_FINISH, job_id, rec.epoch
+        )
+        self._maybe_schedule_failure(rec)
         self.log.add(
             t,
             LogKind.START,
@@ -675,7 +623,7 @@ class Simulation:
         """Lease-return resume (§III-B.3), bypassing the policy order."""
         self._start_job(job, nodes, None)
 
-    def _fold_segment(self, rj: RunningJob, acc, preempted: bool) -> None:
+    def _fold_segment(self, rj: JobRecord, acc, preempted: bool) -> None:
         """Fold the segment *rj* just closed into its job's stats.
 
         *acc* is the execution model's accounting of the segment (rigid
@@ -715,8 +663,9 @@ class Simulation:
         job.stats.preemptions += 1
         job.set_state(JobState.QUEUED)
         self._enqueue(job)
-        self._epochs[job_id] = self._epochs.get(job_id, 0) + 1
-        released = self.cluster.end_job(job_id)
+        rj.epoch += 1
+        released = rj.nodes
+        self.cluster.release(released)
         self.log.add(
             self.now, LogKind.PREEMPT, job_id, nodes=released, detail=reason
         )
@@ -731,7 +680,7 @@ class Simulation:
             raise SimulationError(f"shrink of non-malleable job {job_id}")
         new_nodes = rj.nodes - take
         rj.execution.resize(self.now, new_nodes)
-        self.cluster.resize_job(job_id, new_nodes)
+        self.cluster.resize(rj.nodes, new_nodes)
         rj.nodes = new_nodes
         rj.job.stats.shrinks += 1
         self._reschedule_finish(rj)
@@ -749,17 +698,15 @@ class Simulation:
         if new_nodes == rj.nodes:
             return 0
         rj.execution.resize(self.now, new_nodes)
-        self.cluster.resize_job(job_id, new_nodes)
-        grown = new_nodes - rj.nodes
+        grown = self.cluster.resize(rj.nodes, new_nodes)
         rj.nodes = new_nodes
         rj.job.stats.expands += 1
         self._reschedule_finish(rj)
         self.log.add(self.now, LogKind.EXPAND, job_id, nodes=grown)
         return grown
 
-    def _reschedule_finish(self, rj: RunningJob) -> None:
+    def _reschedule_finish(self, rj: JobRecord) -> None:
         rj.epoch += 1
-        self._epochs[rj.job.job_id] = rj.epoch
         self._sched_dirty = True
         self._c_dirty["resize"].inc()
         self.timeline.set_block(rj.job.job_id, rj.predicted_finish(), rj.nodes)
@@ -772,7 +719,7 @@ class Simulation:
         # memoryless, so a fresh draw is statistically equivalent.
         self._maybe_schedule_failure(rj)
 
-    def _maybe_schedule_failure(self, rj: RunningJob) -> None:
+    def _maybe_schedule_failure(self, rj: JobRecord) -> None:
         """Arm a failure event for this allocation if injection is on."""
         fm = self.config.failures
         if not fm.enabled:
@@ -802,7 +749,7 @@ class Simulation:
     # Every handler takes an event's two payload ints (see ``Event``);
     # the ones that need only the job id ignore the second.
     def _handle_submit(self, job_id: int, _aux: int = 0) -> None:
-        job = self.jobs_by_id[job_id]
+        job = self.records[job_id].job
         job.set_state(JobState.QUEUED)
         self._enqueue(job)
         self._sched_dirty = True
@@ -812,7 +759,7 @@ class Simulation:
             self.coordinator.on_od_arrival(job)
 
     def _handle_notice(self, job_id: int, _aux: int = 0) -> None:
-        job = self.jobs_by_id[job_id]
+        job = self.records[job_id].job
         job.set_state(JobState.NOTICED)
         self.log.add(
             self.now,
@@ -842,7 +789,8 @@ class Simulation:
         del self.running[job_id]
         job.set_state(JobState.COMPLETED)
         job.stats.end_time = now
-        released = self.cluster.end_job(job_id)
+        released = rj.nodes
+        self.cluster.release(released)
         self.log.add(now, LogKind.FINISH, job_id, nodes=released)
         self.metrics.observe_finished(job)
         if job.is_ondemand:
@@ -882,7 +830,7 @@ class Simulation:
 
     def _handle_timeout(self, od_id: int, _aux: int = 0) -> None:
         self.coordinator.on_reservation_timeout(od_id)
-        job = self.jobs_by_id.get(od_id)
+        job = self.lookup_job(od_id)
         if job is not None and job.no_show:
             # the expired reservation was this announced no-show's last
             # trace of activity
@@ -906,16 +854,17 @@ class Simulation:
         after that drop and gets a fresh prediction from its retained
         progress.
         """
-        hit = self._wall_memo.get(job.job_id)
+        rec = self.records[job.job_id]
+        hit = rec.memo
         if hit is not None and hit[0] == nodes:
             return hit[1]
         wall = self._compute_wall(job, nodes)
-        self._wall_memo[job.job_id] = (nodes, wall)
+        rec.memo = (nodes, wall)
         return wall
 
     def _compute_wall(self, job: Job, nodes: int) -> float:
         """:meth:`_predict_wall` without the memo."""
-        ex = self._executions.get(job.job_id)
+        ex = self.records[job.job_id].execution
         if job.is_malleable:
             pad = (job.estimate - job.runtime) * job.size
             if isinstance(ex, MalleableExecution):
@@ -949,7 +898,7 @@ class Simulation:
         for r in active:
             if r.held <= 0:
                 continue
-            od = self.jobs_by_id[r.od_job_id]
+            od = self.records[r.od_job_id].job
             release = (
                 self.now + od.estimate
                 if r.arrived
@@ -988,7 +937,7 @@ class Simulation:
         for r in self.coordinator.book.holding_reservations():
             if r.arrived:
                 return True
-            od = self.jobs_by_id[r.od_job_id]
+            od = self.records[r.od_job_id].job
             if r.estimated_arrival + od.estimate <= self.now + EPS:
                 return True
         return False
@@ -1066,16 +1015,16 @@ class Simulation:
     def validate_state(self) -> None:
         self.coordinator.book.validate(self.cluster.free)
         for job_id, rj in self.running.items():
-            if self.cluster.allocation(job_id) != rj.nodes:
-                raise SimulationError(
-                    f"job {job_id}: cluster says "
-                    f"{self.cluster.allocation(job_id)} nodes, record says "
-                    f"{rj.nodes}"
-                )
             if rj.job.state is not JobState.RUNNING:
                 raise SimulationError(
                     f"job {job_id} in running set but state {rj.job.state}"
                 )
+        allocated = sum(rj.nodes for rj in self.running.values())
+        if self.cluster.free + allocated != self.cluster.total:
+            raise SimulationError(
+                f"node conservation broken: {allocated} allocated + "
+                f"{self.cluster.free} free != {self.cluster.total} total"
+            )
         for job in self.queue:
             if job.state is not JobState.QUEUED:
                 raise SimulationError(
@@ -1093,7 +1042,12 @@ class Simulation:
                 f"on-demand jobs: {sorted(self._waiting_od)} vs "
                 f"{sorted(waiting_od)}"
             )
-        stale = self._wall_memo.keys() - {job.job_id for job in self.queue}
+        queued = {job.job_id for job in self.queue}
+        stale = [
+            job_id
+            for job_id, rec in self.records.items()
+            if rec.memo is not None and job_id not in queued
+        ]
         if stale:
             raise SimulationError(
                 "wall predictions memoized for jobs not in the queue: "
@@ -1196,7 +1150,8 @@ class Simulation:
 
         # The admission/finish counters and the retained window answer
         # what a scan of the whole job list would.
-        for job in self.jobs_by_id.values():
+        for rec in self.records.values():
+            job = rec.job
             if not job.no_show:
                 raise SimulationError("some jobs never completed")
             if job.state not in (JobState.PENDING, JobState.NOTICED):

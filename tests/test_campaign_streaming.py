@@ -1,8 +1,8 @@
 """Streaming campaign pipeline: equivalence, ordering, batched dispatch.
 
 The streamed path (generator-backed cells off the shared
-:class:`~repro.workload.trace_cache.TraceCache`, batched pool dispatch,
-per-worker scratch reuse) must be a pure execution-strategy change:
+:class:`~repro.workload.trace_cache.TraceCache`, batched pool
+dispatch) must be a pure execution-strategy change:
 every store a campaign produces is **byte-identical** to a reference
 store built cell by cell from materialized job lists — ``run_one`` on
 ``generate_trace`` / ``retype_jobs`` output, and

@@ -5,12 +5,17 @@
 reserved window.  The oracle below is the plain form of both: it
 reserves every queued job and walks the whole profile on each reserve.
 The two must make identical decisions and leave identical profiles.
+
+Both follow one breakpoint rule: no two breakpoints lie within EPS of
+each other.  A release within EPS of the previous breakpoint merges into
+it when the profile is built, and a reserve boundary within EPS of an
+existing breakpoint snaps to it.
 """
 
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.jobs.job import Job, JobType
 from repro.sched.conservative import ConservativeBackfillPlanner
@@ -26,6 +31,18 @@ EPS = 1e-6
 # ----------------------------------------------------------------------
 # Reference oracle: full-queue plan over a whole-profile reserve
 # ----------------------------------------------------------------------
+def ref_build_profile(view):
+    """``(times, avail)`` of *view*'s free-node step function."""
+    times, avail = [view.now], [view.free]
+    for t, nodes in sorted(view.releases()):
+        if t <= times[-1] + EPS:  # merges into the previous breakpoint
+            avail[-1] += nodes
+        else:
+            times.append(t)
+            avail.append(avail[-1] + nodes)
+    return times, avail
+
+
 def ref_insert_breakpoint(times, avail, t):
     if t <= times[0] + EPS:
         return
@@ -74,8 +91,7 @@ def ref_reserve(times, avail, start, duration, nodes):
 
 def ref_plan(view, queue, walls):
     """Reserve every queued job in order; starts are those at ``now``."""
-    prof = view.build_profile()
-    times, avail = list(prof.times), list(prof.avail)
+    times, avail = ref_build_profile(view)
     decisions = []
     blocked_seen = False
     for job in queue:
@@ -166,6 +182,9 @@ def views(now, free, running, overlay):
 # ----------------------------------------------------------------------
 @settings(max_examples=400, deadline=None)
 @given(planning_inputs())
+# two releases past now + EPS but less than EPS apart: reserving at the
+# later one used to hit the earlier one too and drive it negative
+@example((0.0, 1, [(1.27e-6, 1), (2e-6, 1)], [], [2, 1], [1.0, 1.0]))
 def test_planner_matches_full_queue_oracle(inputs):
     now, free, running, overlay, sizes, walls = inputs
     queue = [rigid(i, size) for i, size in enumerate(sizes)]
@@ -196,8 +215,10 @@ def test_planner_matches_full_queue_oracle(inputs):
 )
 def test_windowed_reserve_matches_full_walk(inputs, reserves):
     now, free, running, overlay, _, _ = inputs
-    prof = next(views(now, free, running, overlay)).build_profile()
-    times, avail = list(prof.times), list(prof.avail)
+    view = next(views(now, free, running, overlay))
+    prof = view.build_profile()
+    times, avail = ref_build_profile(view)
+    assert (prof.times, prof.avail) == (times, avail)
     for off, duration, nodes in reserves:
         start = now + off
         try:

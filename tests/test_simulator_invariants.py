@@ -253,3 +253,61 @@ def test_validate_state_checks_the_kept_sorted_queue():
     del sim._waiting_od[od[0].job_id]
     with pytest.raises(SimulationError, match="on-demand index"):
         sim.validate_state()
+
+
+def _one_running_job():
+    """A simulation with job 0 admitted and started by hand on 16 nodes."""
+    jobs = [
+        Job(
+            job_id=i,
+            job_type=JobType.MALLEABLE,
+            submit_time=0.0,
+            size=16,
+            min_size=4,
+            runtime=100.0,
+            estimate=100.0,
+        )
+        for i in range(2)
+    ]
+    sim = Simulation(jobs, SimConfig(system_size=SYSTEM))
+    sim._pump_stream()
+    for job in jobs:
+        job.set_state(JobState.QUEUED)
+        sim._enqueue(job)
+    sim._start_job(jobs[0], 16)
+    sim.validate_state()
+    return sim, jobs
+
+
+def test_validate_state_checks_node_conservation():
+    """A running record holds the only copy of its allocation; the
+    cluster's free pool must account for every node of it."""
+    sim, _ = _one_running_job()
+    sim.running[0].nodes += 1
+    with pytest.raises(SimulationError, match="node conservation"):
+        sim.validate_state()
+
+
+# The double-start and unknown-job guards live in the simulator: the
+# cluster keeps counts only and cannot tell jobs apart.
+def test_double_start_refused():
+    sim, jobs = _one_running_job()
+    with pytest.raises(SimulationError, match="not in the wait queue"):
+        sim._start_job(jobs[0], 16)
+    assert sim.cluster.free == SYSTEM - 16
+    sim.validate_state()
+
+
+def test_preempt_of_non_running_job_refused():
+    sim, _ = _one_running_job()
+    with pytest.raises(SimulationError, match="non-running job 1"):
+        sim.preempt_running_job(1, "test")
+    assert sim.cluster.free == SYSTEM - 16
+
+
+def test_resize_of_non_running_job_refused():
+    sim, _ = _one_running_job()
+    for resize in (sim.shrink_running_malleable, sim.expand_running_malleable):
+        with pytest.raises(SimulationError, match="non-running job 1"):
+            resize(1, 4)
+    assert sim.cluster.free == SYSTEM - 16

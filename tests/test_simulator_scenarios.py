@@ -349,8 +349,9 @@ class TestCupPlanning:
 
 
 class TestWallMemo:
-    """A queued job's wall prediction is memoized until it starts; a
-    preempted job re-enters the queue with a fresh prediction."""
+    """A queued job's wall prediction is memoized on its record until it
+    starts; a preempted job re-enters the queue with a fresh
+    prediction."""
 
     def run_recording(self, config):
         trace = [
@@ -370,7 +371,15 @@ class TestWallMemo:
             calls.append((sim.now, job.job_id, wall, fresh))
             return wall
 
+        start = sim._start_job
+
+        def checked_start(job, nodes, loans=None):
+            start(job, nodes, loans)
+            # the memo is dropped when the job starts
+            assert sim.records[job.job_id].memo is None
+
         sim._predict_wall = recording
+        sim._start_job = checked_start
         return sim, sim.run(), calls
 
     def test_requeued_victim_predicted_from_retained_work(self):
@@ -390,11 +399,14 @@ class TestWallMemo:
         assert after and all(
             w == pytest.approx(100.0 + 8000.0 + 3 * 600.0) for w in after
         )
-        assert not sim._wall_memo
+        # every record, memo included, retired with its job
+        assert not sim.records
 
     def test_stale_memo_entry_fails_validation(self):
         sim = Simulation([rigid(1, 0.0, 10, 100.0)], cfg())
-        sim._wall_memo[1] = (10, 100.0)
+        sim._pump_stream()  # admits job 1: a record, not yet queued
+        sim.validate_state()
+        sim.records[1].memo = (10, 100.0)
         with pytest.raises(SimulationError, match="not in the queue"):
             sim.validate_state()
 
