@@ -228,15 +228,6 @@ class ProgressIndex:
             # refresh on a read-only mount would defeat the whole point
             self._last_save_t = time.time()
 
-    def invalidate(self) -> None:
-        """Forget everything and remove the persisted file."""
-        self.files = {}
-        self._torn_warned = {}
-        try:
-            self.path.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
     # --- scanning ----------------------------------------------------------
     def tracked_files(self) -> List[str]:
         """Directory-relative paths this index covers, scan order."""

@@ -44,6 +44,8 @@ class RunningView(Protocol):
 
     def preemption_loss(self, t: float) -> float: ...
 
+    def last_checkpoint_completion_at_or_before(self, t: float) -> Optional[float]: ...
+
 
 class SimulatorOps(Protocol):
     """The simulator surface the coordinator drives."""
@@ -155,8 +157,9 @@ class HybridCoordinator:
 
         # Step 2 — plan preemptions, cheapest victims first.  Rigid victims
         # fire right after their last checkpoint completion before the
-        # arrival; malleable victims fire at the arrival instant (the
-        # planned-preempt event sorts before the arrival event).
+        # arrival; malleable victims, which take no checkpoints, fire at
+        # the arrival instant (the planned-preempt event sorts before the
+        # arrival event).
         if still_needed <= 0:
             return
         later = [v for v in views if v.predicted_finish() > arrival]
@@ -173,10 +176,9 @@ class HybridCoordinator:
             if available <= 0:
                 continue
             fire = arrival
-            if v.job.is_rigid:
-                last_ckpt = v.last_checkpoint_completion_at_or_before(arrival)  # type: ignore[attr-defined]
-                if last_ckpt is not None and last_ckpt >= now:
-                    fire = last_ckpt
+            last_ckpt = v.last_checkpoint_completion_at_or_before(arrival)
+            if last_ckpt is not None and last_ckpt >= now:
+                fire = last_ckpt
             pledge = min(still_needed, available)
             self.book.add_planned(
                 res,

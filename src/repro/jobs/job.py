@@ -267,36 +267,6 @@ class Job:
         """Estimated compute demand in node-seconds."""
         return self.estimate * self.size
 
-    def runtime_at(self, nodes: int) -> float:
-        """Compute time (excl. setup) when running at *nodes* nodes.
-
-        Rigid and on-demand jobs only ever run at ``size``; malleable jobs
-        follow the paper's linear-speedup model ``t = t_single / n``.
-        """
-        if not self.is_malleable:
-            if nodes != self.size:
-                raise ValueError(
-                    f"job {self.job_id} is {self.job_type.value} and can only "
-                    f"run at {self.size} nodes, not {nodes}"
-                )
-            return self.runtime
-        if not (self.smallest_size <= nodes <= self.size):
-            raise ValueError(
-                f"malleable job {self.job_id}: nodes {nodes} outside "
-                f"[{self.smallest_size}, {self.size}]"
-            )
-        return self.work_node_seconds / nodes
-
-    def estimate_at(self, nodes: int) -> float:
-        """Estimated compute time (excl. setup) at *nodes* nodes."""
-        if not self.is_malleable:
-            if nodes != self.size:
-                raise ValueError(
-                    f"job {self.job_id} cannot run at {nodes} nodes"
-                )
-            return self.estimate
-        return self.estimate_node_seconds / nodes
-
     # ------------------------------------------------------------------
     # State machine
     # ------------------------------------------------------------------

@@ -17,40 +17,13 @@ integrated exactly across resize points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import Optional
 
 from repro.jobs.job import Job
+from repro.jobs.rigid_exec import SegmentAccounting
 from repro.util.errors import InvariantViolation
 
 EPS = 1e-6
-
-
-@dataclass
-class MalleableAccounting:
-    """Node-second decomposition of a closed malleable segment."""
-
-    wall: float
-    allocated: float
-    setup: float
-    compute: float  # == retained; malleable jobs never lose compute
-    lost_setup: float  # partial setup thrown away by a mid-setup preemption
-
-    # the rest of :class:`~repro.jobs.rigid_exec.SegmentAccounting`'s
-    # shape, so the simulator folds both kinds of segment alike
-    checkpoint: ClassVar[float] = 0.0
-    lost: ClassVar[float] = 0.0
-
-    @property
-    def retained(self) -> float:
-        return self.compute
-
-    def validate(self) -> None:
-        if abs(self.allocated - (self.setup + self.compute)) > 1e-3:
-            raise InvariantViolation(
-                f"malleable accounting mismatch: alloc={self.allocated} "
-                f"setup={self.setup} compute={self.compute}"
-            )
 
 
 class MalleableExecution:
@@ -66,6 +39,7 @@ class MalleableExecution:
         "_seg_setup",
         "_seg_compute",
         "_running",
+        "_started",
     )
 
     def __init__(self, job: Job) -> None:
@@ -81,12 +55,9 @@ class MalleableExecution:
         self._seg_setup = 0.0
         self._seg_compute = 0.0
         self._running = False
+        self._started = False
 
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start_segment(self, t: float, nodes: int) -> None:
         """Begin a (re)start on *nodes* nodes at wall time *t*."""
         if self._running:
@@ -105,6 +76,7 @@ class MalleableExecution:
         self._seg_setup = 0.0
         self._seg_compute = 0.0
         self._running = True
+        self._started = True
 
     def _advance(self, t: float) -> None:
         """Integrate setup/work consumption from the last update to *t*."""
@@ -168,6 +140,20 @@ class MalleableExecution:
             + self.work_remaining / self.nodes
         )
 
+    def predict_wall(self, nodes: int) -> float:
+        """Wall time to finish by the user's estimate if a segment started
+        now on *nodes* (see :meth:`predicted_finish` for the padding).
+
+        A job that never ran is predicted from its estimate directly;
+        ``work_remaining + pad`` can differ from it by one ULP.
+        """
+        job = self.job
+        if self._started:
+            work = self.work_remaining + (job.estimate - job.runtime) * job.size
+        else:
+            work = job.estimate_node_seconds
+        return job.setup_time + work / nodes
+
     def predicted_finish(self) -> float:
         """Estimate-based finish prediction (for EASY backfilling).
 
@@ -197,40 +183,37 @@ class MalleableExecution:
         extra = min(max(0.0, t - self._last_update), self.setup_remaining)
         return (spent_setup + extra + self.job.setup_time) * self.nodes
 
-    def shrinkable_nodes(self) -> int:
-        """How many nodes this job can give up right now (SPAA supply)."""
-        if not self._running:
-            return 0
-        return max(0, self.nodes - self.job.smallest_size)
+    def last_checkpoint_completion_at_or_before(self, t: float) -> Optional[float]:
+        """Always ``None``: a malleable job takes no checkpoints."""
+        return None
 
     # ------------------------------------------------------------------
-    def preempt(self, t: float) -> MalleableAccounting:
+    def _close_segment(self) -> SegmentAccounting:
+        compute = self._seg_compute
+        acc = SegmentAccounting(
+            allocated=self._seg_alloc,
+            setup=self._seg_setup,
+            compute=compute,
+            checkpoint=0.0,
+            retained=compute,  # malleable jobs never lose compute
+            lost=0.0,
+        )
+        acc.validate()
+        self._running = False
+        return acc
+
+    def preempt(self, t: float) -> SegmentAccounting:
         """Close the current segment by preemption at time *t*.
 
-        Work is conserved; partial setup is thrown away (and reported as
-        ``lost_setup`` so the waste accounting can charge it).
+        Work is conserved; the segment's setup is thrown away (the resumed
+        segment pays it again).
         """
         if not self._running:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
         self._advance(t)
-        lost_setup = 0.0
-        if self.setup_remaining > EPS:
-            # Mid-setup preemption: everything spent on setup is wasted.
-            lost_setup = self._seg_setup
-        acc = MalleableAccounting(
-            wall=0.0,  # wall is derivable but unused; kept for symmetry
-            allocated=self._seg_alloc,
-            setup=self._seg_setup,
-            compute=self._seg_compute,
-            lost_setup=lost_setup,
-        )
-        acc.validate()
-        self._running = False
-        self.nodes = 0
-        self.setup_remaining = 0.0
-        return acc
+        return self._close_segment()
 
-    def complete(self, t: float) -> MalleableAccounting:
+    def complete(self, t: float) -> SegmentAccounting:
         """Close the segment by natural completion at time *t*."""
         if not self._running:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
@@ -245,13 +228,4 @@ class MalleableExecution:
                 f"job {self.job.job_id}: completing with "
                 f"{self.work_remaining:.3f} node-seconds outstanding"
             )
-        acc = MalleableAccounting(
-            wall=0.0,
-            allocated=self._seg_alloc,
-            setup=self._seg_setup,
-            compute=self._seg_compute,
-            lost_setup=0.0,
-        )
-        acc.validate()
-        self._running = False
-        return acc
+        return self._close_segment()

@@ -35,11 +35,12 @@ class SegmentAccounting(NamedTuple):
     """Node-second decomposition of one closed segment.
 
     ``allocated == setup + compute + checkpoint`` and
-    ``compute == retained + lost`` (all in node-seconds).  An immutable
-    tuple: one is built per closed segment, on the job-finish hot path.
+    ``compute == retained + lost`` (all in node-seconds).  Both execution
+    models return it; a malleable segment has ``checkpoint == lost == 0``.
+    An immutable tuple: one is built per closed segment, on the job-finish
+    hot path.
     """
 
-    wall: float
     allocated: float
     setup: float
     compute: float
@@ -58,6 +59,14 @@ class SegmentAccounting(NamedTuple):
                 f"compute split mismatch: compute={self.compute} "
                 f"retained={self.retained} lost={self.lost}"
             )
+
+
+def _checkpoints_within(work: float, interval: float) -> int:
+    """Checkpoints written while computing *work* seconds from a segment's
+    start: one per *interval*, none at the finish line."""
+    if math.isinf(interval):
+        return 0
+    return max(0, math.ceil(work / interval - EPS) - 1)
 
 
 class RigidTimeline:
@@ -115,12 +124,7 @@ class RigidTimeline:
         # the timeline is immutable: its checkpoint count and natural
         # finish are computed once
         remaining = self.total_work - self.base_work
-        if math.isinf(self.interval):
-            self._n_checkpoints = 0
-        else:
-            self._n_checkpoints = max(
-                0, math.ceil(remaining / self.interval - EPS) - 1
-            )
+        self._n_checkpoints = _checkpoints_within(remaining, self.interval)
         self._finish = (
             self.start + self.setup + remaining + self._n_checkpoints * self.cost
         )
@@ -149,20 +153,15 @@ class RigidTimeline:
     def wall_for_work(self, work: float) -> float:
         """Wall-clock duration to finish if the demand were *work*.
 
-        Used to turn the user's runtime *estimate* into a predicted finish
-        for EASY backfilling; since estimates never undershoot actuals the
-        prediction never undershoots the true finish.
+        Since estimates never undershoot actuals, the wall for the
+        estimate never undershoots the true finish.
         """
         if work < self.base_work:
             raise ValueError("work estimate below already-retained work")
         r = work - self.base_work
         if r <= 0:
             return self.setup
-        if math.isinf(self.interval):
-            n = 0
-        else:
-            n = max(0, math.ceil(r / self.interval - EPS) - 1)
-        return self.setup + r + n * self.cost
+        return self.setup + r + _checkpoints_within(r, self.interval) * self.cost
 
     def checkpoint_completion_time(self, i: int) -> float:
         """Wall time checkpoint *i* (1-based) finishes writing."""
@@ -223,13 +222,6 @@ class RigidTimeline:
             return None
         return self.checkpoint_completion_time(k)
 
-    def next_checkpoint_completion_after(self, t: float) -> float | None:
-        """Earliest checkpoint-completion instant ``> t``, or None."""
-        k = self.completed_checkpoints_at(t)
-        if k >= self.num_checkpoints:
-            return None
-        return self.checkpoint_completion_time(k + 1)
-
     def accounting_until(self, t: float, nodes: int) -> SegmentAccounting:
         """Node-second decomposition of the segment up to wall time *t*.
 
@@ -244,7 +236,6 @@ class RigidTimeline:
         retained_delta = self.retained_at(end) - self.base_work
         lost = progress - retained_delta
         acc = SegmentAccounting(
-            wall=wall,
             allocated=wall * nodes,
             setup=setup_spent * nodes,
             compute=progress * nodes,
@@ -276,15 +267,17 @@ class RigidExecution:
         self.completed_work = 0.0
         self.timeline: RigidTimeline | None = None
 
-    @property
-    def running(self) -> bool:
-        return self.timeline is not None
-
-    def start_segment(self, t: float) -> None:
-        """Begin a (re)start at wall time *t* from the retained offset."""
+    def start_segment(self, t: float, nodes: int) -> None:
+        """Begin a (re)start on *nodes* (always ``job.size``) at wall time
+        *t* from the retained offset."""
         if self.timeline is not None:
             raise InvariantViolation(
                 f"job {self.job.job_id}: start_segment while already running"
+            )
+        if nodes != self.nodes:
+            raise InvariantViolation(
+                f"{self.job.job_type.value} job {self.job.job_id} started on "
+                f"{nodes} != {self.nodes} nodes"
             )
         self.timeline = RigidTimeline(
             start=t,
@@ -301,12 +294,25 @@ class RigidExecution:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
         return self.timeline._finish
 
+    def predict_wall(self, nodes: int) -> float:
+        """Wall time to finish by the user's estimate if a segment started
+        now (on *nodes*, always ``job.size``) from the retained offset.
+
+        The estimate counts from the job's start, so it is raised to just
+        above the retained work when a resumed job has already passed it.
+        """
+        base = self.completed_work
+        work = max(self.job.estimate, base + EPS) - base
+        return (
+            self.job.setup_time + work
+            + _checkpoints_within(work, self.interval) * self.cost
+        )
+
     def predicted_finish(self) -> float:
         """Finish prediction based on the user's estimate (for EASY)."""
         if self.timeline is None:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
-        est_work = max(self.job.estimate, self.timeline.base_work + EPS)
-        return self.timeline.start + self.timeline.wall_for_work(est_work)
+        return self.timeline.start + self.predict_wall(self.nodes)
 
     def preemption_loss(self, t: float) -> float:
         """Node-seconds that would be wasted by preempting at time *t*.
@@ -320,11 +326,6 @@ class RigidExecution:
         tl = self.timeline
         lost = tl.progress_at(t) - (tl.retained_at(t) - tl.base_work)
         return (lost + self.job.setup_time) * self.nodes
-
-    def next_checkpoint_completion_after(self, t: float) -> float | None:
-        if self.timeline is None:
-            return None
-        return self.timeline.next_checkpoint_completion_after(t)
 
     def last_checkpoint_completion_at_or_before(self, t: float) -> float | None:
         if self.timeline is None:
@@ -370,7 +371,6 @@ class RigidExecution:
         setup_spent = min(wall, tl.setup)
         progress = tl.total_work - tl.base_work
         acc = SegmentAccounting(
-            wall=wall,
             allocated=wall * nodes,
             setup=setup_spent * nodes,
             compute=progress * nodes,

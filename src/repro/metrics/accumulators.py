@@ -193,9 +193,6 @@ class SummaryAccumulator:
     def n_jobs(self) -> int:
         return self.turnaround_all.count
 
-    def count_of(self, jtype: JobType) -> int:
-        return self.by_type[jtype].turnaround.count
-
     def _total(self, attr: str) -> float:
         total = 0.0
         for t in JobType:

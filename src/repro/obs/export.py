@@ -190,13 +190,6 @@ def merge_trace_data(
     }
 
 
-def merge_trace_files(
-    paths: Sequence[os.PathLike], out_path: os.PathLike
-) -> Dict[str, object]:
-    doc = merge_trace_data(load_trace(p) for p in paths)
-    return write_trace_data(out_path, doc)
-
-
 # ----------------------------------------------------------------------
 # Text summary
 # ----------------------------------------------------------------------

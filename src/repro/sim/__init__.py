@@ -5,6 +5,8 @@
 * :mod:`repro.sim.cluster` — free-pool counts for a machine of identical
   nodes (allocation is at node granularity, jobs are exclusive; each
   running job's record in the simulator holds its own node count).
+* :mod:`repro.sim.wait_queue` — the wait queue, kept sorted by the
+  policy's static key (or job id) as jobs enter and leave it.
 * :mod:`repro.sim.simulator` — the :class:`Simulation` that ties the job
   models, scheduling policy, and hybrid-workload coordinator together.
 """

@@ -23,20 +23,21 @@ jobs' predicted releases (updated in place instead of re-derived inside
 every planner call) and a dirty bit that lets :meth:`run` skip the
 scheduling pass of batches that provably cannot change any decision — an
 event batch made entirely of stale events, or any batch with an empty
-wait queue.  The wait queue itself is kept sorted by the policy's
-static key as jobs enter and leave it, so a time-invariant policy needs
-no per-pass sort.  The full-replan reference these shortcuts are
-checked against (rebuild the profile from the running set every pass,
-never skip a stale batch) lives in the test suite.
+wait queue.  The full-replan reference these shortcuts are checked
+against (rebuild the profile from the running set every pass, never skip
+a stale batch) lives in the test suite.
+
+Per-job execution math (setup, checkpoints, speedup, wall prediction)
+lives in the :mod:`repro.jobs` execution models, built at admission, and
+the kept-sorted queue is a :class:`~repro.sim.wait_queue.WaitQueue`; the
+simulator branches on job kind only to refuse resizing a non-malleable job.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -45,9 +46,9 @@ from repro.core.coordinator import HybridCoordinator
 from repro.obs import get_obs
 from repro.core.mechanisms import Mechanism
 from repro.core.reservation import Reservation
-from repro.jobs.job import Job, JobState, JobType, NoticeClass
+from repro.jobs import Execution, new_execution
+from repro.jobs.job import Job, JobState, NoticeClass
 from repro.jobs.malleable_exec import MalleableExecution
-from repro.jobs.rigid_exec import RigidExecution, RigidTimeline
 from repro.metrics.accumulators import SummaryAccumulator
 from repro.sched.conservative import ConservativeBackfillPlanner
 from repro.sched.easy import BackfillPlanner
@@ -60,11 +61,10 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import EventQueue
 from repro.sim.events import Event, EventType
 from repro.sim.schedlog import LogKind, SchedulerLog
+from repro.sim.wait_queue import WaitQueue
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.rng import RngStreams
 from repro.workload.stream import JobStream, as_stream
-
-Execution = Union[RigidExecution, MalleableExecution]
 
 EPS = 1e-6
 
@@ -80,17 +80,17 @@ class JobRecord:
 
     __slots__ = ("job", "execution", "nodes", "epoch", "started_at", "memo")
 
-    def __init__(self, job: Job) -> None:
+    def __init__(self, job: Job, execution: Execution) -> None:
         self.job = job
-        #: built at the first start and kept across preemptions; ``None``
-        #: until then (see ``Simulation._compute_wall``)
-        self.execution: Optional[Execution] = None
+        #: the job's execution model, kept across preemptions
+        self.execution = execution
         #: the allocation while running
         self.nodes = 0
         #: bumped on start, preemption and resize: finish and failure
         #: events carry the epoch they were pushed under, so stale ones
         #: are recognised and dropped
         self.epoch = 0
+        #: the running segment's start (a failure restart starts one)
         self.started_at = 0.0
         #: ``(nodes, predicted wall)`` while queued; dropped at start
         #: (see ``Simulation._predict_wall``)
@@ -103,9 +103,7 @@ class JobRecord:
         return self.execution.preemption_loss(t)
 
     def last_checkpoint_completion_at_or_before(self, t: float) -> Optional[float]:
-        if isinstance(self.execution, RigidExecution):
-            return self.execution.last_checkpoint_completion_at_or_before(t)
-        return None
+        return self.execution.last_checkpoint_completion_at_or_before(t)
 
 
 @dataclass(frozen=True)
@@ -315,20 +313,9 @@ class Simulation:
                 allow_loans=self.config.allow_reserved_loans,
                 flexible_malleable=self.config.flexible_malleable,
             )
-        #: the wait queue, kept sorted by ``_queue_key`` through
-        #: :meth:`_enqueue`/:meth:`_dequeue`: the policy's static key for
-        #: a time-invariant policy (the queue *is* the policy order), job
-        #: id otherwise (the policy re-sorts it each pass);
-        #: ``_queue_keys[i] == _queue_key(queue[i])``
-        self.queue: List[Job] = []
-        self._queue_keys: list = []
-        static_key = self.policy.static_key(
-            prioritize_ondemand=mechanism is not None
+        self.queue = WaitQueue(
+            self.policy, prioritize_ondemand=mechanism is not None
         )
-        self._queue_in_policy_order = static_key is not None
-        self._queue_key = static_key or attrgetter("job_id")
-        #: the on-demand jobs in the wait queue, by id
-        self._waiting_od: Dict[int, Job] = {}
         #: the running jobs' records (the same objects as in ``records``)
         self.running: Dict[int, JobRecord] = {}
         self._events_processed = 0
@@ -461,7 +448,9 @@ class Simulation:
                 return  # pushes no events: nothing to retain
         else:
             self._n_arrivals_admitted += 1
-        self.records[job.job_id] = JobRecord(job)
+        self.records[job.job_id] = JobRecord(
+            job, new_execution(job, self.config.checkpoint)
+        )
         if not job.no_show:
             self.equeue.push(job.submit_time, EventType.JOB_SUBMIT, job.job_id)
         if noticed:
@@ -525,37 +514,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Job lifecycle operations
     # ------------------------------------------------------------------
-    def _enqueue(self, job: Job) -> None:
-        """Insert *job* into the wait queue at its key's position."""
-        key = self._queue_key(job)
-        i = bisect_left(self._queue_keys, key)
-        self._queue_keys.insert(i, key)
-        self.queue.insert(i, job)
-        if job.job_type is JobType.ONDEMAND:
-            self._waiting_od[job.job_id] = job
-
-    def _dequeue(self, job: Job) -> None:
-        """Remove *job* from the wait queue (keys are unique: the job id
-        is the last component)."""
-        i = bisect_left(self._queue_keys, self._queue_key(job))
-        if i == len(self.queue) or self.queue[i] is not job:
-            raise SimulationError(
-                f"job {job.job_id} started while not in the wait queue"
-            )
-        del self.queue[i]
-        del self._queue_keys[i]
-        self._waiting_od.pop(job.job_id, None)
-
-    def _new_execution(self, job: Job) -> Execution:
-        if job.is_malleable:
-            return MalleableExecution(job)
-        if job.is_rigid:
-            interval = self.config.checkpoint.interval(job.size)
-            cost = self.config.checkpoint.cost(job.size)
-        else:  # on-demand jobs never checkpoint
-            interval, cost = math.inf, 0.0
-        return RigidExecution(job, interval=interval, cost=cost)
-
     def _start_job(
         self,
         job: Job,
@@ -564,7 +522,7 @@ class Simulation:
     ) -> None:
         """Start *job* on *nodes* nodes, borrowing per *loans* if given."""
         job_id = job.job_id
-        self._dequeue(job)
+        self.queue.remove(job)
         rec = self.records[job_id]
         rec.memo = None
         t = self.now
@@ -578,17 +536,7 @@ class Simulation:
                     )
                 self.coordinator.book.loan_out(res, job_id, k)
         ex = rec.execution
-        if ex is None:
-            ex = rec.execution = self._new_execution(job)
-        if isinstance(ex, MalleableExecution):
-            ex.start_segment(t, nodes)
-        else:
-            if nodes != job.size:
-                raise SimulationError(
-                    f"{job.job_type.value} job {job_id} started on "
-                    f"{nodes} != {job.size} nodes"
-                )
-            ex.start_segment(t)
+        ex.start_segment(t, nodes)
         rec.nodes = nodes
         rec.epoch += 1
         rec.started_at = t
@@ -626,9 +574,8 @@ class Simulation:
     def _fold_segment(self, rj: JobRecord, acc, preempted: bool) -> None:
         """Fold the segment *rj* just closed into its job's stats.
 
-        *acc* is the execution model's accounting of the segment (rigid
-        and malleable accountings share the fields read here); the setup
-        of a *preempted* segment is all waste.
+        *acc* is the execution model's accounting of the segment; the
+        setup of a *preempted* segment is all waste.
         """
         st = rj.job.stats
         start, end = rj.started_at, self.now
@@ -662,7 +609,7 @@ class Simulation:
         self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
         job.stats.preemptions += 1
         job.set_state(JobState.QUEUED)
-        self._enqueue(job)
+        self.queue.add(job)
         rj.epoch += 1
         released = rj.nodes
         self.cluster.release(released)
@@ -726,12 +673,7 @@ class Simulation:
             return
         # Anchor the draw at the segment start so a restart delay cannot
         # produce a failure that precedes the restarted segment.
-        base = self.now
-        ex = rj.execution
-        if isinstance(ex, RigidExecution) and ex.timeline is not None:
-            base = max(base, ex.timeline.start)
-        elif isinstance(ex, MalleableExecution):
-            base = max(base, ex._last_update)
+        base = max(self.now, rj.started_at)
         if self._failure_rng is None:
             self._failure_rng = RngStreams(
                 self.config.failure_seed
@@ -751,7 +693,7 @@ class Simulation:
     def _handle_submit(self, job_id: int, _aux: int = 0) -> None:
         job = self.records[job_id].job
         job.set_state(JobState.QUEUED)
-        self._enqueue(job)
+        self.queue.add(job)
         self._sched_dirty = True
         self._c_dirty["submit"].inc()
         self.log.add(self.now, LogKind.SUBMIT, job_id, nodes=job.size)
@@ -818,11 +760,7 @@ class Simulation:
         self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
         st.failures += 1
         restart = self.now + self.config.failures.restart_delay_s
-        ex = rj.execution
-        if isinstance(ex, MalleableExecution):
-            ex.start_segment(restart, rj.nodes)
-        else:
-            ex.start_segment(restart)
+        rj.execution.start_segment(restart, rj.nodes)
         rj.started_at = restart
         st.segment_sizes.append(rj.nodes)
         self._reschedule_finish(rj)
@@ -858,34 +796,9 @@ class Simulation:
         hit = rec.memo
         if hit is not None and hit[0] == nodes:
             return hit[1]
-        wall = self._compute_wall(job, nodes)
+        wall = rec.execution.predict_wall(nodes)
         rec.memo = (nodes, wall)
         return wall
-
-    def _compute_wall(self, job: Job, nodes: int) -> float:
-        """:meth:`_predict_wall` without the memo."""
-        ex = self.records[job.job_id].execution
-        if job.is_malleable:
-            pad = (job.estimate - job.runtime) * job.size
-            if isinstance(ex, MalleableExecution):
-                work = ex.work_remaining + pad
-            else:
-                work = job.estimate_node_seconds
-            return job.setup_time + work / nodes
-        if job.is_ondemand:
-            return job.setup_time + job.estimate
-        # rigid: include checkpoint overheads in the prediction
-        base = ex.completed_work if isinstance(ex, RigidExecution) else 0.0
-        est_total = max(job.estimate, base + EPS)
-        tl = RigidTimeline(
-            start=0.0,
-            setup=job.setup_time,
-            base_work=base,
-            total_work=est_total,
-            interval=self.config.checkpoint.interval(job.size),
-            cost=self.config.checkpoint.cost(job.size),
-        )
-        return tl.wall_for_work(est_total)
 
     def _reservation_blocks(self, active: Sequence[Reservation]) -> List:
         """Reservation pseudo-blocks: held nodes release when the owning
@@ -972,16 +885,13 @@ class Simulation:
         """One scheduling pass: start what the planner picks now."""
         self._sched_dirty = False
         book = self.coordinator.book
+        queue = self.queue
         # Pre-phase: waiting on-demand jobs assemble nodes via their
         # (still-collecting) reservations, earliest arrival first.
-        if self.mechanism is not None and self._waiting_od:
-            waiting_od = sorted(
-                self._waiting_od.values(),
-                key=lambda j: (j.submit_time, j.job_id),
-            )
-            for od in waiting_od:
+        if self.mechanism is not None:
+            for od in queue.waiting_ondemand():
                 self.coordinator.try_start_queued_od(od)
-        if not self.queue:
+        if not queue.jobs:
             return
         usable = self.usable_free()
         # nothing below mutates the book before planning: one snapshot
@@ -993,16 +903,9 @@ class Simulation:
         ]
         if usable <= 0 and not loanable:
             return
-        if self._queue_in_policy_order:
-            ordered = self.queue  # planners only read it
-        else:
-            ordered = self.policy.order(
-                self.queue, self.now,
-                prioritize_ondemand=self.mechanism is not None,
-            )
         decisions = self.planner.plan(
             profile=self._availability_view(usable, active),
-            ordered_queue=ordered,
+            ordered_queue=queue.planning_order(self.now),
             loanable=loanable,
             predict_wall=self._predict_wall,
         )
@@ -1025,24 +928,8 @@ class Simulation:
                 f"node conservation broken: {allocated} allocated + "
                 f"{self.cluster.free} free != {self.cluster.total} total"
             )
-        for job in self.queue:
-            if job.state is not JobState.QUEUED:
-                raise SimulationError(
-                    f"job {job.job_id} in queue but state {job.state}"
-                )
-        keys = [self._queue_key(job) for job in self.queue]
-        if keys != self._queue_keys or keys != sorted(keys):
-            raise SimulationError(
-                "wait queue out of key order or out of step with its keys"
-            )
-        waiting_od = {j.job_id: j for j in self.queue if j.is_ondemand}
-        if waiting_od != self._waiting_od:
-            raise SimulationError(
-                "waiting on-demand index differs from the queue's "
-                f"on-demand jobs: {sorted(self._waiting_od)} vs "
-                f"{sorted(waiting_od)}"
-            )
-        queued = {job.job_id for job in self.queue}
+        self.queue.validate()
+        queued = {job.job_id for job in self.queue.jobs}
         stale = [
             job_id
             for job_id, rec in self.records.items()
@@ -1086,7 +973,7 @@ class Simulation:
         pending = equeue.heap
         cluster = self.cluster
         book = self.coordinator.book
-        queue = self.queue  # mutated in place, never rebound
+        queue = self.queue.jobs  # mutated in place, never rebound
         batch_buf = self._batch
         validate = self.config.validate_invariants
         traced = self._obs.enabled
@@ -1140,10 +1027,10 @@ class Simulation:
             for sample in self.coordinator.decision_latencies:
                 h.observe(sample)
 
-        if self.running or self.queue:
+        if self.running or queue:
             raise SimulationError(
                 f"simulation drained its events with {len(self.running)} jobs "
-                f"running and {len(self.queue)} queued — scheduling deadlock "
+                f"running and {len(queue)} queued — scheduling deadlock "
                 f"(free={self.cluster.free}, "
                 f"held={self.coordinator.book.total_held})"
             )

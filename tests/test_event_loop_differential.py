@@ -91,7 +91,7 @@ def test_closed_form_complete_matches_accounting_until(seg):
     )
     ex = RigidExecution(job, interval=seg["interval"], cost=seg["cost"])
     ex.completed_work = seg["total_work"] * seg["base_frac"]
-    ex.start_segment(seg["start"])
+    ex.start_segment(seg["start"], seg["nodes"])
     reference_tl = _timeline(seg)
     finish = reference_tl.finish_time()
     try:

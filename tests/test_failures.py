@@ -6,6 +6,7 @@ from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType
 from repro.sim.config import SimConfig
+from repro.sim.events import EventType
 from repro.sim.failures import FailureModel
 from repro.sim.simulator import Simulation
 from repro.util.errors import ConfigurationError
@@ -146,6 +147,37 @@ class TestFailureInjection:
         assert all(j.state is JobState.COMPLETED for j in res.jobs)
         od = next(j for j in res.jobs if j.is_ondemand)
         assert od.start_delay == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "job",
+        [rigid(runtime=20000.0), malleable(runtime=20000.0)],
+        ids=["rigid", "malleable"],
+    )
+    def test_failure_is_drawn_from_the_restart_not_the_failure(self, job):
+        """After a restart delay, the next failure is drawn from the
+        restarted segment's start, so none lands inside the delay."""
+        config = SimConfig(
+            system_size=100,
+            checkpoint=CheckpointModel(node_mtbf_s=1.0, min_interval_s=2000.0),
+            failures=FailureModel(
+                enabled=True, node_mtbf_s=50 * 3000.0, restart_delay_s=3000.0
+            ),
+            validate_invariants=True,
+        )
+        sim = Simulation([job], config)
+        push = sim.equeue.push
+        armed = []  # (failure time, segment start when it was drawn)
+
+        def recording(time, etype, job_id=0, aux=0):
+            if etype == EventType.JOB_FAILURE:
+                armed.append((time, sim.records[job_id].started_at))
+            push(time, etype, job_id, aux)
+
+        sim.equeue.push = recording
+        res = sim.run()
+        assert res.failures_injected >= 2
+        assert sum(start > 0.0 for _, start in armed) >= 2
+        assert all(at > start for at, start in armed)
 
     def test_frequent_checkpoints_lose_less_under_failures(self):
         """Daly's regime: with failures as the only interruptions, more

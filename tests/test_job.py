@@ -116,31 +116,6 @@ class TestDerived:
     def test_work_node_seconds(self):
         assert malleable().work_node_seconds == 3600.0 * 100
 
-    def test_runtime_at_linear_speedup(self):
-        j = malleable()
-        assert j.runtime_at(100) == pytest.approx(3600.0)
-        assert j.runtime_at(50) == pytest.approx(7200.0)
-        assert j.runtime_at(20) == pytest.approx(18000.0)
-
-    def test_runtime_at_out_of_range(self):
-        j = malleable()
-        with pytest.raises(ValueError):
-            j.runtime_at(10)
-        with pytest.raises(ValueError):
-            j.runtime_at(200)
-
-    def test_rigid_runtime_at_fixed(self):
-        j = rigid()
-        assert j.runtime_at(128) == 3600.0
-        with pytest.raises(ValueError):
-            j.runtime_at(64)
-
-    def test_estimate_at(self):
-        j = malleable()
-        assert j.estimate_at(50) == pytest.approx(7200.0 * 100 / 50)
-        with pytest.raises(ValueError):
-            rigid().estimate_at(64)
-
     def test_smallest_size(self):
         assert rigid().smallest_size == 128
         assert malleable().smallest_size == 20

@@ -110,14 +110,6 @@ class TestResize:
         with pytest.raises(InvariantViolation):
             ex.resize(400.0, 60)
 
-    def test_shrinkable_nodes(self):
-        ex = MalleableExecution(mjob())
-        assert ex.shrinkable_nodes() == 0  # not running
-        ex.start_segment(0.0, 100)
-        assert ex.shrinkable_nodes() == 80
-        ex.resize(10.0, 20)
-        assert ex.shrinkable_nodes() == 0
-
 
 class TestPreemption:
     def test_preempt_loses_no_work(self):
@@ -125,7 +117,8 @@ class TestPreemption:
         ex.start_segment(0.0, 100)
         acc = ex.preempt(1100.0)  # 1000s of compute done
         acc.validate()
-        assert acc.lost_setup == 0.0
+        assert acc.lost == 0.0 and acc.checkpoint == 0.0
+        assert acc.retained == acc.compute == pytest.approx(100000.0)
         assert ex.work_remaining == pytest.approx(260000.0)
         # resume: full setup again, work continues
         ex.start_segment(5000.0, 50)
@@ -135,8 +128,22 @@ class TestPreemption:
         ex = MalleableExecution(mjob())
         ex.start_segment(0.0, 100)
         acc = ex.preempt(40.0)
-        assert acc.lost_setup == pytest.approx(40.0 * 100)
+        assert acc.setup == pytest.approx(40.0 * 100)
+        assert acc.compute == 0.0
         assert ex.work_remaining == pytest.approx(360000.0)
+
+    def test_predict_wall_from_remaining_work(self):
+        ex = MalleableExecution(mjob())
+        # never started: the estimate, 1.5 * 360000 node-seconds
+        assert ex.predict_wall(50) == 100.0 + 540000.0 / 50
+        ex.start_segment(0.0, 100)
+        ex.preempt(1100.0)  # 100000 node-seconds done
+        assert ex.predict_wall(50) == pytest.approx(100.0 + 440000.0 / 50)
+
+    def test_has_no_checkpoints(self):
+        ex = MalleableExecution(mjob())
+        ex.start_segment(0.0, 100)
+        assert ex.last_checkpoint_completion_at_or_before(5000.0) is None
 
     def test_preemption_loss_key(self):
         ex = MalleableExecution(mjob())

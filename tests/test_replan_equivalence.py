@@ -173,7 +173,7 @@ def test_no_time_skip_with_clock_tracking_reservation_block():
     sim = Simulation(clone_jobs(jobs), _config(), Mechanism.parse("CUA&PAA"))
     od = next(j for j in sim.jobs if j.is_ondemand)
     sim._admit(od)  # bring the reservation's owner into the window
-    sim.queue.append(sim.jobs[0])  # non-empty queue, clean dirty bit
+    sim.queue.add(sim.jobs[0])  # non-empty queue, clean dirty bit
     sim._sched_dirty = False
     assert sim._can_skip_pass()
     res = sim.coordinator.book.create(

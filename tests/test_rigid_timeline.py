@@ -119,13 +119,6 @@ class TestProgressAndRetained:
         c3 = t.checkpoint_completion_time(3)
         assert t.last_checkpoint_completion_at_or_before(1e9) == pytest.approx(c3)
 
-    def test_next_checkpoint_after(self):
-        t = tl()
-        c1 = t.checkpoint_completion_time(1)
-        assert t.next_checkpoint_completion_after(0.0) == pytest.approx(c1)
-        c3 = t.checkpoint_completion_time(3)
-        assert t.next_checkpoint_completion_after(c3) is None
-
 
 class TestWallForWork:
     def test_matches_finish_time(self):
@@ -235,7 +228,7 @@ def _job(setup=100.0, runtime=10000.0, size=4):
 class TestRigidExecution:
     def test_complete_lifecycle(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         ft = ex.finish_time()
         acc = ex.complete(ft)
         assert ex.completed_work == 10000.0
@@ -243,12 +236,12 @@ class TestRigidExecution:
 
     def test_preempt_resume_conserves_work(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         c2 = ex.timeline.checkpoint_completion_time(2)
         acc1 = ex.preempt(c2 + 100.0)  # mid third chunk: retain 6000
         assert ex.completed_work == pytest.approx(6000.0)
         assert acc1.lost == pytest.approx(4 * 100.0)
-        ex.start_segment(20000.0)
+        ex.start_segment(20000.0, ex.nodes)
         ft = ex.finish_time()
         # remaining 4000 work, one checkpoint at 9000 (mark < 10000)
         assert ft == pytest.approx(20000.0 + 100.0 + 4000.0 + 600.0)
@@ -258,7 +251,7 @@ class TestRigidExecution:
 
     def test_preempt_during_setup_retains_nothing(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         acc = ex.preempt(50.0)
         assert ex.completed_work == 0.0
         assert acc.setup == pytest.approx(4 * 50.0)
@@ -266,27 +259,43 @@ class TestRigidExecution:
 
     def test_preemption_loss_grows_within_chunk(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         early = ex.preemption_loss(200.0)
         later = ex.preemption_loss(2000.0)
         assert later > early
 
     def test_preemption_loss_resets_at_checkpoint(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         c1 = ex.timeline.checkpoint_completion_time(1)
         assert ex.preemption_loss(c1) == pytest.approx(4 * 100.0)  # setup only
 
     def test_predicted_finish_never_early(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         assert ex.predicted_finish() >= ex.finish_time() - 1e-6
+
+    def test_start_on_other_size_rejected(self):
+        ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
+        with pytest.raises(InvariantViolation, match="started on 3 != 4"):
+            ex.start_segment(0.0, 3)
+        assert ex.timeline is None
+
+    def test_predict_wall_from_retained_offset(self):
+        ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
+        # estimate 15000: setup + 15000 + 4 checkpoints
+        assert ex.predict_wall(4) == 100.0 + 15000.0 + 4 * 600.0
+        ex.start_segment(0.0, 4)
+        assert ex.predicted_finish() == ex.predict_wall(4)
+        ex.preempt(ex.timeline.checkpoint_completion_time(2) + 1.0)
+        # 6000 retained: setup + 9000 + 2 checkpoints (marks 3000, 6000)
+        assert ex.predict_wall(4) == 100.0 + 9000.0 + 2 * 600.0
 
     def test_double_start_rejected(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         with pytest.raises(InvariantViolation):
-            ex.start_segment(1.0)
+            ex.start_segment(1.0, ex.nodes)
 
     def test_ops_require_running(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
@@ -299,13 +308,13 @@ class TestRigidExecution:
 
     def test_complete_at_wrong_time_rejected(self):
         ex = RigidExecution(_job(), interval=3000.0, cost=600.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         with pytest.raises(InvariantViolation):
             ex.complete(ex.finish_time() - 500.0)
 
     def test_ondemand_mode_no_checkpoints(self):
         ex = RigidExecution(_job(setup=0.0), interval=math.inf, cost=0.0)
-        ex.start_segment(0.0)
+        ex.start_segment(0.0, ex.nodes)
         assert ex.finish_time() == pytest.approx(10000.0)
 
 
@@ -326,7 +335,7 @@ def test_execution_work_conservation(preempt_fracs, interval, cost, setup):
     t = 0.0
     total_retained = 0.0
     for frac in preempt_fracs:
-        ex.start_segment(t)
+        ex.start_segment(t, job.size)
         ft = ex.finish_time()
         instant = t + frac * (ft - t)
         acc = ex.preempt(instant)
@@ -337,7 +346,7 @@ def test_execution_work_conservation(preempt_fracs, interval, cost, setup):
             abs=1e-3,
         )
         t = instant + 100.0
-    ex.start_segment(t)
+    ex.start_segment(t, job.size)
     acc = ex.complete(ex.finish_time())
     acc.validate()
     total_retained += acc.retained

@@ -234,6 +234,8 @@ def test_reservation_book_is_empty_after_the_run(mech_name):
 
 
 def test_validate_state_checks_the_kept_sorted_queue():
+    """The queue's own invariants are part of the simulator's (the cases
+    themselves are in test_wait_queue.py)."""
     jobs = random_trace(3, n_jobs=40)
     sim = Simulation(
         jobs, SimConfig(system_size=SYSTEM), Mechanism.parse("N&PAA")
@@ -242,28 +244,25 @@ def test_validate_state_checks_the_kept_sorted_queue():
     for job in [*jobs[:4], *od]:
         if job.state is JobState.PENDING:
             job.set_state(JobState.QUEUED)
-            sim._enqueue(job)
+            sim.queue.add(job)
     # on-demand jobs first, then FCFS
-    assert sim.queue[: len(od)] == od
+    assert sim.queue.jobs[: len(od)] == od
     sim.validate_state()
-    sim.queue[0], sim.queue[-1] = sim.queue[-1], sim.queue[0]
+    sim.queue.jobs.reverse()
     with pytest.raises(SimulationError, match="key order"):
         sim.validate_state()
-    sim.queue[0], sim.queue[-1] = sim.queue[-1], sim.queue[0]
-    del sim._waiting_od[od[0].job_id]
-    with pytest.raises(SimulationError, match="on-demand index"):
-        sim.validate_state()
 
 
-def _one_running_job():
-    """A simulation with job 0 admitted and started by hand on 16 nodes."""
+def _queued_jobs(job_type=JobType.MALLEABLE):
+    """A simulation with jobs 0 and 1 (16 nodes each) admitted and
+    queued by hand."""
     jobs = [
         Job(
             job_id=i,
-            job_type=JobType.MALLEABLE,
+            job_type=job_type,
             submit_time=0.0,
             size=16,
-            min_size=4,
+            min_size=4 if job_type is JobType.MALLEABLE else None,
             runtime=100.0,
             estimate=100.0,
         )
@@ -273,7 +272,13 @@ def _one_running_job():
     sim._pump_stream()
     for job in jobs:
         job.set_state(JobState.QUEUED)
-        sim._enqueue(job)
+        sim.queue.add(job)
+    return sim, jobs
+
+
+def _one_running_job(job_type=JobType.MALLEABLE):
+    """:func:`_queued_jobs` with job 0 started by hand on 16 nodes."""
+    sim, jobs = _queued_jobs(job_type)
     sim._start_job(jobs[0], 16)
     sim.validate_state()
     return sim, jobs
@@ -311,3 +316,19 @@ def test_resize_of_non_running_job_refused():
         with pytest.raises(SimulationError, match="non-running job 1"):
             resize(1, 4)
     assert sim.cluster.free == SYSTEM - 16
+
+
+def test_rigid_start_on_other_size_refused():
+    sim, jobs = _queued_jobs(JobType.RIGID)
+    with pytest.raises(SimulationError, match="started on 15 != 16 nodes"):
+        sim._start_job(jobs[0], 15)
+
+
+def test_resize_of_running_rigid_job_refused():
+    sim, _ = _one_running_job(JobType.RIGID)
+    for resize in (sim.shrink_running_malleable, sim.expand_running_malleable):
+        with pytest.raises(SimulationError, match="non-malleable job 0"):
+            resize(0, 4)
+    assert sim.running[0].nodes == 16
+    assert sim.cluster.free == SYSTEM - 16
+    sim.validate_state()

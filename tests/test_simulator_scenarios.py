@@ -22,6 +22,7 @@ from repro.util.errors import SimulationError
 
 sys.path.insert(0, "tests")
 from replan_oracle import run_full_replan  # noqa: E402
+from wall_reference import reference_wall  # noqa: E402
 
 
 def rigid(job_id, submit, size, runtime, estimate=None, setup=0.0):
@@ -350,8 +351,9 @@ class TestCupPlanning:
 
 class TestWallMemo:
     """A queued job's wall prediction is memoized on its record until it
-    starts; a preempted job re-enters the queue with a fresh
-    prediction."""
+    starts; a preempted job re-enters the queue with a fresh prediction,
+    and every answer equals the reference computation of
+    ``tests/wall_reference.py``."""
 
     def run_recording(self, config):
         trace = [
@@ -367,7 +369,13 @@ class TestWallMemo:
 
         def recording(job, nodes):
             wall = predict(job, nodes)
-            fresh = sim._compute_wall(job, nodes)
+            fresh = reference_wall(
+                job,
+                sim.records[job.job_id].execution,
+                nodes,
+                sim.config.checkpoint,
+                started=job.stats.first_start is not None,
+            )
             calls.append((sim.now, job.job_id, wall, fresh))
             return wall
 
@@ -388,7 +396,7 @@ class TestWallMemo:
         )
         victim = by_id(res, 1)
         assert victim.stats.preemptions == 1
-        # every memoized answer equals the uncached computation
+        # every memoized answer equals the reference, bit for bit
         assert all(wall == fresh for _, _, wall, fresh in calls)
         before = [w for t, j, w, _ in calls if j == 1 and t < 3000.0]
         after = [w for t, j, w, _ in calls if j == 1 and t >= 3000.0]
