@@ -9,12 +9,11 @@ and reports the same Fig. 6 metrics:
 * queue-ordering policy (FCFS vs SJF vs LJF) under the same mechanism;
 * malleable minimum-size fraction (20 % default vs 50 %).
 
-All SimConfig/WorkloadSpec ablations run through the campaign engine
-against one shared content-addressed store (``benchmarks/out/``), so
-re-running the suite — or any single ablation — is pure cache hits for
-unchanged cells; the sim/spec knobs land in the cells' override dicts
-and hash the variants apart.  The queue-policy ablation stays on direct
-simulation: a policy object is code, not a JSON-shaped campaign axis.
+All ablations run through the campaign engine against one shared
+content-addressed store (``benchmarks/out/``), so re-running the suite —
+or any single ablation — is pure cache hits for unchanged cells; the
+sim/spec knobs land in the cells' override dicts (the policy name on the
+campaign policy axis) and hash the variants apart.
 """
 
 import pathlib
@@ -24,11 +23,7 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.store import ResultStore
 from repro.core.mechanisms import Mechanism
 from repro.metrics.report import format_summary_rows, format_table
-from repro.sched.fcfs import FcfsPolicy, LjfPolicy, SjfPolicy
-from repro.sim.simulator import Simulation
-from repro.metrics.summary import average_summaries, summarize
-from repro.workload.theta import generate_trace
-from repro.workload.trace import clone_jobs
+from repro.metrics.summary import average_summaries
 
 MECH = Mechanism.parse("CUA&SPAA")
 
@@ -138,21 +133,10 @@ def test_ablation_malleable_flexibility(benchmark, campaign, emit):
 def test_ablation_ordering_policy(benchmark, campaign, emit):
     """The mechanisms compose with any queue-ordering policy (§III)."""
 
-    def run_policy(policy):
-        summaries = []
-        for seed in campaign.seeds():
-            jobs = generate_trace(campaign.spec, seed=seed)
-            result = Simulation(
-                clone_jobs(jobs), campaign.sim, MECH, policy=policy
-            ).run()
-            summaries.append(summarize(result))
-        return average_summaries(summaries)
-
     def run():
         return {
-            "fcfs": run_policy(FcfsPolicy()),
-            "sjf": run_policy(SjfPolicy()),
-            "ljf": run_policy(LjfPolicy()),
+            name: _grid_row(campaign, replace(campaign.sim, policy=name))
+            for name in ("fcfs", "sjf", "ljf")
         }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -102,7 +102,6 @@ def run_worker(
     owner: Optional[str] = None,
     max_cells: Optional[int] = None,
     wait: bool = True,
-    heartbeat_interval_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
     clock: Callable[[], float] = time.time,
     claim_batch: int = 1,
@@ -118,16 +117,15 @@ def run_worker(
         numbers them.
     ttl_s / poll_s:
         Lease time-to-live, and the rescan interval while all missing
-        cells are leased by other (possibly dead) workers.
+        cells are leased by other (possibly dead) workers.  Leases are
+        heartbeaten every ``ttl_s / 4`` so a live worker can miss two
+        beats before anyone may evict it.
     max_cells:
         Execute at most this many cells, then return (spot-instance
         friendly: drain a few cells per billing slot).
     wait:
         ``False`` returns as soon as nothing is claimable instead of
         waiting for other workers' leases to resolve.
-    heartbeat_interval_s:
-        Defaults to ``ttl_s / 4`` so a live worker can miss two beats
-        before anyone may evict it.
     claim_batch:
         Leases acquired per claim round (``--claim-batch``).  1 (the
         default) preserves the classic claim-one/run-one loop; larger
@@ -163,7 +161,7 @@ def run_worker(
     # reads only bytes nobody has indexed yet
     index = ProgressIndex(directory_p)
     board = LeaseBoard(directory_p, owner=owner, ttl_s=ttl_s, clock=clock)
-    hb_interval = heartbeat_interval_s or max(ttl_s / 4.0, 0.05)
+    hb_interval = max(ttl_s / 4.0, 0.05)
     obs = get_obs()
     c_evictions = obs.counter("distrib.lease.evictions")
 

@@ -66,6 +66,11 @@ from repro.util.errors import ConfigurationError
 logger = logging.getLogger(__name__)
 
 INDEX_VERSION = 1
+#: autosaves serialize the whole key set — O(total), the one cost that
+#: must NOT be paid per appended record — so refresh persists at most
+#: once per this interval; a skipped save only means the next loader
+#: re-reads a few recent lines
+SAVE_INTERVAL_S = 5.0
 
 
 @dataclass
@@ -136,17 +141,11 @@ class ProgressIndex:
         name: str = "progress",
         results_file: str = RESULTS_FILE,
         autosave: bool = True,
-        save_interval_s: float = 5.0,
     ) -> None:
         self.directory = Path(directory)
         self.name = name
         self.results_file = results_file
         self.autosave = autosave
-        #: autosaves serialize the whole key set — O(total), the one
-        #: cost that must NOT be paid per appended record — so refresh
-        #: persists at most once per this interval; a skipped save only
-        #: means the next loader re-reads a few recent lines
-        self.save_interval_s = float(save_interval_s)
         self.files: Dict[str, FileState] = {}
         self._last_save_t = 0.0
         self._save_failed = False
@@ -319,7 +318,7 @@ class ProgressIndex:
         if (
             self.autosave
             and (n_new or n_rescans or vanished)
-            and time.time() - self._last_save_t >= self.save_interval_s
+            and time.time() - self._last_save_t >= SAVE_INTERVAL_S
         ):
             self.save()
         return stats

@@ -61,6 +61,15 @@ def _resolve_mix(mix: MixLike) -> NoticeMix:
     return NoticeMix.from_dict(mix)
 
 
+def _check_override_names(cls: type, overrides: Mapping[str, object]) -> None:
+    """Reject an override key that names no field of dataclass *cls*."""
+    for key in overrides:
+        if key not in cls.__dataclass_fields__:  # type: ignore[attr-defined]
+            raise ConfigurationError(
+                f"unknown override {key!r} for {cls.__name__}"
+            )
+
+
 def _coerce_overrides(
     defaults: object, overrides: Mapping[str, object]
 ) -> Dict[str, object]:
@@ -69,13 +78,9 @@ def _coerce_overrides(
     JSON has no tuples, so list values targeting tuple-typed fields are
     converted; everything else passes through untouched.
     """
+    _check_override_names(type(defaults), overrides)
     out: Dict[str, object] = {}
-    fields = type(defaults).__dataclass_fields__  # type: ignore[attr-defined]
     for key, value in overrides.items():
-        if key not in fields:
-            raise ConfigurationError(
-                f"unknown override {key!r} for {type(defaults).__name__}"
-            )
         if isinstance(value, list) and isinstance(
             getattr(defaults, key), tuple
         ):
@@ -294,6 +299,17 @@ class CampaignSpec:
                 Mechanism.parse(mech)  # raises ConfigurationError if bad
         for mix in self.notice_mix:
             _resolve_mix(mix)
+        # a misspelt (or since removed) override field must error at plan
+        # time, not fail every cell mid-fleet; values stay per-cell
+        _check_override_names(WorkloadSpec, self.spec_overrides)
+        _check_override_names(SimConfig, self.sim_overrides)
+        for name, cls in (
+            ("failures", FailureModel),
+            ("checkpoint", CheckpointModel),
+        ):
+            nested = self.sim_overrides.get(name)
+            if isinstance(nested, Mapping):
+                _check_override_names(cls, nested)
         if self.trace_options and all(t is None for t in self.trace_file):
             raise ConfigurationError(
                 "trace_options given but no trace_file axis value is set"

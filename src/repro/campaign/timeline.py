@@ -92,16 +92,15 @@ def trace_timeline_svg(
     doc: Mapping[str, object],
     title: Optional[str] = "Span timeline",
     width: int = 960,
-    max_bars: int = DEFAULT_MAX_BARS,
     embed_style: bool = True,
 ) -> str:
     """Render a trace document's spans as one self-contained SVG.
 
     Tracks (one per ``(pid, tid)``) are sorted by pid then tid for
     determinism; categories map to palette slots in first-seen track
-    order.  When the document holds more than *max_bars* spans the
-    shortest are dropped (depth structure of the survivors is kept) and
-    a caption reports the cut.
+    order.  When the document holds more than :data:`DEFAULT_MAX_BARS`
+    spans the shortest are dropped (depth structure of the survivors is
+    kept) and a caption reports the cut.
     """
     events = _x_events(doc)
     if not events:
@@ -112,11 +111,11 @@ def trace_timeline_svg(
         return _frame(width, 80, body, title, embed_style)
 
     n_dropped = 0
-    if len(events) > max_bars:
+    if len(events) > DEFAULT_MAX_BARS:
         keep = sorted(
             events, key=lambda e: -float(e.get("dur", 0.0))
-        )[:max_bars]
-        n_dropped = len(events) - max_bars
+        )[:DEFAULT_MAX_BARS]
+        n_dropped = len(events) - DEFAULT_MAX_BARS
         kept_ids = {id(e) for e in keep}
         events = [e for e in events if id(e) in kept_ids]
 

@@ -33,6 +33,12 @@ from repro.core.reservation import PlannedPreemption, Reservation, ReservationBo
 from repro.core.shrink import ShrinkCandidate, plan_even_shrink
 from repro.jobs.job import Job, JobState
 from repro.util.errors import InvariantViolation
+from repro.util.timeconst import MINUTE
+
+#: §IV-B: "We set the threshold to release the reserved nodes to 10
+#: minutes after the on-demand job's estimated arrival time."
+RESERVATION_GRACE_S = 10 * MINUTE
+
 
 class RunningView(Protocol):
     """What the coordinator needs to know about one running job."""
@@ -83,11 +89,9 @@ class HybridCoordinator:
         self,
         mechanism: Optional[Mechanism],
         ops: SimulatorOps,
-        reservation_grace_s: float = 600.0,
     ) -> None:
         self.mechanism = mechanism
         self.ops = ops
-        self.grace = float(reservation_grace_s)
         self.book = ReservationBook()
         self.ledger = LenderLedger()
         #: wall-clock seconds spent deciding each on-demand arrival
@@ -116,7 +120,7 @@ class HybridCoordinator:
             need=job.size,
             notice_time=now,
             estimated_arrival=job.estimated_arrival,
-            expiry_time=job.estimated_arrival + self.grace,
+            expiry_time=job.estimated_arrival + RESERVATION_GRACE_S,
             collecting=collecting,
         )
         self.book.grab_free(res, self.ops.usable_free())

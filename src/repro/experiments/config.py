@@ -179,9 +179,7 @@ def _sim_overrides(sim: SimConfig) -> dict:
         base_v, sim_v = getattr(baseline, name), getattr(sim, name)
         if base_v == sim_v:
             continue
-        if name == "checkpoint":
-            out[name] = dict(sim_v.__dict__)
-        elif name == "failures":
+        if name in ("checkpoint", "failures"):
             out[name] = dict(sim_v.__dict__)
         else:
             out[name] = sim_v

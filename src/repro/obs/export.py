@@ -102,9 +102,7 @@ def events_from_schedlog(entries) -> List[Dict[str, object]]:
 
 
 def trace_data(
-    obs,
-    extra_events: Sequence[Mapping[str, object]] = (),
-    process_name: Optional[str] = None,
+    obs, process_name: Optional[str] = None
 ) -> Dict[str, object]:
     """The full exportable trace document for one Observability."""
     if obs.enabled:
@@ -117,7 +115,6 @@ def trace_data(
         obs.tracer.records(),
         process_name=process_name or "repro-hybrid",
     )
-    events.extend(dict(e) for e in extra_events)
     events.extend(dict(e) for e in obs.foreign_events)
     other: Dict[str, object] = {"metrics": obs.registry.snapshot()}
     dropped = getattr(obs.tracer, "n_dropped", 0)
@@ -131,13 +128,10 @@ def trace_data(
 
 
 def write_trace(
-    path: os.PathLike,
-    obs,
-    extra_events: Sequence[Mapping[str, object]] = (),
-    process_name: Optional[str] = None,
+    path: os.PathLike, obs, process_name: Optional[str] = None
 ) -> Dict[str, object]:
     """Write one process's trace JSON; returns the document dict."""
-    doc = trace_data(obs, extra_events, process_name)
+    doc = trace_data(obs, process_name)
     return write_trace_data(path, doc)
 
 

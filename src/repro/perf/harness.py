@@ -124,7 +124,6 @@ def bench(
     repeat: int = 3,
     memory: bool = False,
     git_sha: Optional[str] = None,
-    obs_snapshot: Optional[Dict[str, Any]] = None,
 ) -> PerfRecord:
     """Measure ``fn`` and wrap the result as a (stored) perf record."""
     measurement = measure(fn, warmup=warmup, repeat=repeat, memory=memory)
@@ -134,7 +133,6 @@ def bench(
         metrics=measurement.metrics(),
         git_sha=git_sha if git_sha is not None else current_git_sha(),
         recorded_unix=time.time(),
-        obs=obs_snapshot,
     )
     if store is not None:
         store.append(record)

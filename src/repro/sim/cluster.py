@@ -10,7 +10,10 @@ reserved-idle nodes live inside the free pool here and the book enforces
 ``total_held <= free``.
 
 The cluster also integrates free-pool node-seconds over time so the
-utilization metric can be cross-checked against per-job accounting.
+utilization metric can be cross-checked against per-job accounting: at
+the end of every run the simulator checks that ``total × clock −
+free_node_seconds`` equals the node-seconds its jobs' segments account
+for.
 """
 
 from __future__ import annotations
@@ -21,28 +24,29 @@ from repro.util.errors import InvariantViolation
 class Cluster:
     """Free-pool bookkeeping for *total* identical nodes."""
 
-    __slots__ = ("total", "free", "_last_t", "free_node_seconds")
+    __slots__ = ("total", "free", "clock", "free_node_seconds")
 
     def __init__(self, total: int) -> None:
         if total <= 0:
             raise ValueError("cluster must have at least one node")
         self.total = int(total)
         self.free = int(total)
-        self._last_t = 0.0
+        #: the time :meth:`advance` last integrated up to
+        self.clock = 0.0
         #: integral of the free pool over time (includes reserved-idle)
         self.free_node_seconds = 0.0
 
     # ------------------------------------------------------------------
     def advance(self, t: float) -> None:
         """Accumulate the free-pool integral up to time *t*."""
-        if t < self._last_t - 1e-6:
+        if t < self.clock - 1e-6:
             raise InvariantViolation(
-                f"cluster clock moved backwards: {self._last_t} -> {t}"
+                f"cluster clock moved backwards: {self.clock} -> {t}"
             )
-        dt = t - self._last_t
+        dt = t - self.clock
         if dt > 0.0:  # a non-positive step adds nothing
             self.free_node_seconds += dt * self.free
-        self._last_t = t
+        self.clock = t
 
     # ------------------------------------------------------------------
     def allocate(self, nodes: int) -> None:

@@ -18,6 +18,10 @@ THETA_NODES = 4392
 class SimConfig:
     """Knobs of one simulation run.
 
+    The reservation grace is not a knob: §IV-B fixes it at 10 minutes
+    after the on-demand job's estimated arrival
+    (:data:`repro.core.coordinator.RESERVATION_GRACE_S`).
+
     Parameters
     ----------
     system_size:
@@ -25,9 +29,6 @@ class SimConfig:
     instant_threshold_s:
         An on-demand job counts as "started instantly" if its start delay
         does not exceed this (arrival-instant starts have delay 0).
-    reservation_grace_s:
-        "We set the threshold to release the reserved nodes to 10 minutes
-        after the on-demand job's estimated arrival time."
     checkpoint:
         Checkpoint cost/interval model for rigid jobs.
     backfill_enabled / backfill_depth:
@@ -50,7 +51,6 @@ class SimConfig:
 
     system_size: int = THETA_NODES
     instant_threshold_s: float = MINUTE
-    reservation_grace_s: float = 10 * MINUTE
     checkpoint: CheckpointModel = field(default_factory=CheckpointModel)
     backfill_enabled: bool = True
     backfill_depth: int | None = None
@@ -78,8 +78,6 @@ class SimConfig:
             raise ConfigurationError("system_size must be positive")
         if self.instant_threshold_s < 0:
             raise ConfigurationError("instant_threshold_s must be >= 0")
-        if self.reservation_grace_s < 0:
-            raise ConfigurationError("reservation_grace_s must be >= 0")
         if self.backfill_depth is not None and self.backfill_depth < 0:
             raise ConfigurationError("backfill_depth must be None or >= 0")
         if self.backfill_mode not in ("easy", "conservative"):

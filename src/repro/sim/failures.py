@@ -13,10 +13,12 @@ Model
 A job spanning ``n`` nodes fails as a series system: its failure rate is
 ``n / node_mtbf``.  On a failure the job loses everything after its last
 completed checkpoint (rigid) or nothing but its setup (malleable — the
-loosely-coupled tasks are re-dispatched), then restarts *in place* after
-a fresh setup: the paper's §II-A "restart from the latest checkpoint in
-the event of an interruption".  On-demand jobs restart from scratch
-(they never checkpoint) — with their short runtimes the expected loss is
+loosely-coupled tasks are re-dispatched), then restarts *in place* at
+the failure instant, paying a fresh setup: the paper's §II-A "restart
+from the latest checkpoint in the event of an interruption".  The
+restarted segment starts at once, so the job holds no node the segment
+does not account for.  On-demand jobs restart from scratch (they never
+checkpoint) — with their short runtimes the expected loss is
 negligible.
 
 Failure draws come from a dedicated named RNG stream, so enabling
@@ -43,20 +45,14 @@ class FailureModel:
     node_mtbf_s:
         Mean time between failures of a single node.  A job on ``n``
         nodes draws interruption gaps from ``Exp(node_mtbf_s / n)``.
-    restart_delay_s:
-        Wall-clock delay before the restarted segment begins (node
-        reboot / reallocation time).
     """
 
     enabled: bool = False
     node_mtbf_s: float = 5.0 * 365.0 * 86400.0
-    restart_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.node_mtbf_s <= 0:
             raise ConfigurationError("node_mtbf_s must be positive")
-        if self.restart_delay_s < 0:
-            raise ConfigurationError("restart_delay_s must be >= 0")
 
     def job_mtbf(self, nodes: int) -> float:
         """Series-system MTBF for a job spanning *nodes* nodes."""

@@ -52,7 +52,6 @@ from repro.jobs.malleable_exec import MalleableExecution
 from repro.metrics.accumulators import SummaryAccumulator
 from repro.sched.conservative import ConservativeBackfillPlanner
 from repro.sched.easy import BackfillPlanner
-from repro.sched.fcfs import FcfsPolicy
 from repro.sched.policy import SchedulingPolicy
 from repro.sched.registry import resolve_dispatcher
 from repro.sched.profile import AvailabilityTimeline, ProfileView
@@ -220,13 +219,11 @@ class Simulation:
     mechanism:
         One of the six mechanisms, or ``None`` for the baseline
         (FCFS/EASY with no special treatment of any job class).
-    policy:
-        Queue-ordering policy: a registered policy name (resolved via
-        :mod:`repro.sched.registry`, with ``config.policy_params`` as
-        the factory knobs), a :class:`SchedulingPolicy` instance, or
-        ``None`` to fall back to ``config.policy`` (and to FCFS when
-        that is unset too).  A named dispatcher that forces a planner
-        ("easy"/"conservative") overrides ``config.backfill_mode``.
+
+    The queue policy is ``config.policy``, resolved through
+    :mod:`repro.sched.registry` with ``config.policy_params`` as the
+    factory knobs; unset, it is FCFS.  A dispatcher that forces a
+    planner ("easy"/"conservative") overrides ``config.backfill_mode``.
     """
 
     def __init__(
@@ -234,21 +231,13 @@ class Simulation:
         jobs: Union[Sequence[Job], JobStream, Iterable[Job]],
         config: Optional[SimConfig] = None,
         mechanism: Optional[Mechanism] = None,
-        policy: Union[None, str, SchedulingPolicy] = None,
     ) -> None:
         self.config = config or SimConfig()
         self.mechanism = mechanism
-        resolved: Union[None, str, SchedulingPolicy] = (
-            policy if policy is not None else self.config.policy
+        dispatcher = resolve_dispatcher(
+            self.config.policy or "fcfs", self.config.policy_params
         )
-        self._forced_backfill_mode: Optional[str] = None
-        if isinstance(resolved, str):
-            dispatcher = resolve_dispatcher(
-                resolved, self.config.policy_params
-            )
-            self._forced_backfill_mode = dispatcher.backfill_mode
-            resolved = dispatcher.ordering
-        self.policy = resolved or FcfsPolicy()
+        self.policy: SchedulingPolicy = dispatcher.ordering
         if isinstance(jobs, Sequence):
             # a list is a stream whose notice horizon is known exactly;
             # the stable sort keeps equal-submit jobs in list order
@@ -296,12 +285,8 @@ class Simulation:
         #: read from the event queue once per batch by :meth:`run`
         self.now = 0.0
         self.cluster = Cluster(self.config.system_size)
-        self.coordinator = HybridCoordinator(
-            mechanism, self, reservation_grace_s=self.config.reservation_grace_s
-        )
-        backfill_mode = (
-            self._forced_backfill_mode or self.config.backfill_mode
-        )
+        self.coordinator = HybridCoordinator(mechanism, self)
+        backfill_mode = dispatcher.backfill_mode or self.config.backfill_mode
         if backfill_mode == "conservative":
             self.planner = ConservativeBackfillPlanner(
                 flexible_malleable=self.config.flexible_malleable
@@ -671,15 +656,12 @@ class Simulation:
         fm = self.config.failures
         if not fm.enabled:
             return
-        # Anchor the draw at the segment start so a restart delay cannot
-        # produce a failure that precedes the restarted segment.
-        base = max(self.now, rj.started_at)
         if self._failure_rng is None:
             self._failure_rng = RngStreams(
                 self.config.failure_seed
             ).get("failures")
         gap = fm.draw_time_to_failure(rj.nodes, self._failure_rng)
-        at = base + gap
+        at = self.now + gap
         if at < rj.execution.finish_time() - EPS:
             self.equeue.push(
                 at, EventType.JOB_FAILURE, rj.job.job_id, rj.epoch
@@ -759,9 +741,8 @@ class Simulation:
         st = rj.job.stats
         self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
         st.failures += 1
-        restart = self.now + self.config.failures.restart_delay_s
-        rj.execution.start_segment(restart, rj.nodes)
-        rj.started_at = restart
+        rj.execution.start_segment(self.now, rj.nodes)
+        rj.started_at = self.now
         st.segment_sizes.append(rj.nodes)
         self._reschedule_finish(rj)
         self.log.add(self.now, LogKind.FAILURE, job_id, nodes=rj.nodes)
@@ -1048,6 +1029,16 @@ class Simulation:
                 )
         if self._n_completed != self._n_arrivals_admitted:
             raise SimulationError("some jobs never completed")
+        # node-seconds the machine held == node-seconds the jobs' segments
+        # account for (tolerance: float rounding of the two integrals)
+        capacity = cluster.total * cluster.clock
+        held = capacity - cluster.free_node_seconds
+        accounted = self.metrics.allocated_node_seconds
+        if abs(held - accounted) > 1e-9 * capacity:
+            raise SimulationError(
+                f"node-seconds not conserved: the cluster held {held!r} "
+                f"but job segments account for {accounted!r}"
+            )
         first_submit = (
             self._admit_first_submit
             if math.isfinite(self._admit_first_submit)

@@ -95,6 +95,27 @@ class TestSpecExpansion:
         with pytest.raises(ConfigurationError):
             small_spec(notice_mix=["W9"])
 
+    @pytest.mark.parametrize(
+        "field,overrides,key",
+        [
+            ("spec_overrides", {"n_projectz": 17}, "n_projectz"),
+            ("sim_overrides", {"grace_s": 300.0}, "grace_s"),
+            ("sim_overrides",
+             {"failures": {"enabled": True, "reboot_s": 120.0}},
+             "reboot_s"),
+            ("sim_overrides", {"checkpoint": {"min_interval": 60.0}},
+             "min_interval"),
+        ],
+        ids=["spec", "sim", "sim.failures", "sim.checkpoint"],
+    )
+    def test_unknown_override_field_rejected_at_plan_time(
+        self, field, overrides, key
+    ):
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            small_spec(**{field: overrides})
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            CampaignSpec(**{field: overrides})
+
     def test_mechanism_all_shorthand(self):
         assert len(small_spec(mechanism="all").mechanism) == 6
         spec = small_spec(mechanism="all+baseline")

@@ -1,16 +1,20 @@
 """Tests for the node-failure injection extension."""
 
+import sys
+
 import pytest
 
-from repro.core.mechanisms import Mechanism
+sys.path.insert(0, "tests")
+from test_simulator_invariants import SYSTEM, random_trace  # noqa: E402
+
+from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType
 from repro.sim.config import SimConfig
-from repro.sim.events import EventType
 from repro.sim.failures import FailureModel
 from repro.sim.simulator import Simulation
-from repro.util.errors import ConfigurationError
-from repro.util.timeconst import DAY, HOUR
+from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.timeconst import HOUR
 
 
 def rigid(job_id=1, submit=0.0, size=50, runtime=10000.0, setup=100.0):
@@ -46,8 +50,6 @@ class TestFailureModel:
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             FailureModel(node_mtbf_s=0)
-        with pytest.raises(ConfigurationError):
-            FailureModel(restart_delay_s=-1)
 
     def test_disabled_factory(self):
         assert FailureModel.disabled().enabled is False
@@ -148,37 +150,6 @@ class TestFailureInjection:
         od = next(j for j in res.jobs if j.is_ondemand)
         assert od.start_delay == pytest.approx(0.0)
 
-    @pytest.mark.parametrize(
-        "job",
-        [rigid(runtime=20000.0), malleable(runtime=20000.0)],
-        ids=["rigid", "malleable"],
-    )
-    def test_failure_is_drawn_from_the_restart_not_the_failure(self, job):
-        """After a restart delay, the next failure is drawn from the
-        restarted segment's start, so none lands inside the delay."""
-        config = SimConfig(
-            system_size=100,
-            checkpoint=CheckpointModel(node_mtbf_s=1.0, min_interval_s=2000.0),
-            failures=FailureModel(
-                enabled=True, node_mtbf_s=50 * 3000.0, restart_delay_s=3000.0
-            ),
-            validate_invariants=True,
-        )
-        sim = Simulation([job], config)
-        push = sim.equeue.push
-        armed = []  # (failure time, segment start when it was drawn)
-
-        def recording(time, etype, job_id=0, aux=0):
-            if etype == EventType.JOB_FAILURE:
-                armed.append((time, sim.records[job_id].started_at))
-            push(time, etype, job_id, aux)
-
-        sim.equeue.push = recording
-        res = sim.run()
-        assert res.failures_injected >= 2
-        assert sum(start > 0.0 for _, start in armed) >= 2
-        assert all(at > start for at, start in armed)
-
     def test_frequent_checkpoints_lose_less_under_failures(self):
         """Daly's regime: with failures as the only interruptions, more
         checkpoints means less rolled-back compute."""
@@ -196,3 +167,45 @@ class TestFailureInjection:
             return total
 
         assert lost(1000.0) <= lost(16000.0)
+
+
+MECHS = [None] + list(ALL_MECHANISMS)
+
+
+@pytest.mark.parametrize(
+    "mechanism", MECHS, ids=[m.name if m else "baseline" for m in MECHS]
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_failure_fuzz_completes_and_conserves_node_seconds(mechanism, seed):
+    """Failures on a mixed random trace, under every mechanism: every
+    job completes, and the node-seconds the machine held are the ones
+    the jobs' segments account for."""
+    config = SimConfig(
+        system_size=SYSTEM,
+        checkpoint=CheckpointModel(node_mtbf_s=1.0, min_interval_s=900.0),
+        failures=FailureModel(enabled=True, node_mtbf_s=20 * HOUR),
+        failure_seed=seed,
+        validate_invariants=True,
+    )
+    sim = Simulation(random_trace(seed, 80), config, mechanism)
+    res = sim.run()
+    assert all(j.state is JobState.COMPLETED for j in res.jobs)
+    cluster = sim.cluster
+    held = cluster.total * cluster.clock - cluster.free_node_seconds
+    allocated = sum(j.stats.allocated_node_seconds for j in res.jobs)
+    assert held == pytest.approx(allocated, rel=1e-9)
+
+
+def test_unaccounted_node_seconds_fail_the_run():
+    """The end-of-run conservation check catches nodes held outside
+    every job segment's accounting."""
+    sim = Simulation([rigid()], SimConfig(system_size=100))
+    fold = sim._fold_segment
+
+    def leaky(rj, acc, preempted):
+        fold(rj, acc, preempted)
+        rj.job.stats.allocated_node_seconds -= 1.0
+
+    sim._fold_segment = leaky
+    with pytest.raises(SimulationError, match="node-seconds not conserved"):
+        sim.run()

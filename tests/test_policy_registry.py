@@ -187,28 +187,21 @@ def _decision_log(result):
 
 
 LEGACY_CASES = [
-    # registered name, legacy config kwargs, legacy explicit policy
-    ("easy", {}, None),
-    ("conservative", {"backfill_mode": "conservative"}, None),
-    ("fcfs", {}, FcfsPolicy),
-    ("sjf", {}, SjfPolicy),
-    ("ljf", {}, LjfPolicy),
+    # registered name, the pre-registry config kwargs it stands for
+    ("easy", {}),
+    ("conservative", {"backfill_mode": "conservative"}),
+    ("fcfs", {}),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,legacy_kw,legacy_cls", LEGACY_CASES, ids=[c[0] for c in LEGACY_CASES]
+    "name,legacy_kw", LEGACY_CASES, ids=[c[0] for c in LEGACY_CASES]
 )
-def test_reregistered_policies_plan_byte_identically(
-    name, legacy_kw, legacy_cls
-):
+def test_reregistered_policies_plan_byte_identically(name, legacy_kw):
     jobs = random_trace(13, 45)
     mech = Mechanism.parse("N&SPAA")
     legacy = Simulation(
-        clone_jobs(jobs),
-        _config(log_decisions=True, **legacy_kw),
-        mech,
-        legacy_cls() if legacy_cls else None,
+        clone_jobs(jobs), _config(log_decisions=True, **legacy_kw), mech
     ).run()
     via_registry = Simulation(
         clone_jobs(jobs), _config(log_decisions=True, policy=name), mech
@@ -216,15 +209,6 @@ def test_reregistered_policies_plan_byte_identically(
     assert _decision_log(via_registry) == _decision_log(legacy)
     assert _job_outcomes(via_registry) == _job_outcomes(legacy)
     assert via_registry.policy == legacy.policy
-
-
-def test_explicit_policy_instance_still_accepted():
-    """The pre-registry call shape — a SchedulingPolicy instance — keeps
-    working, and a string arg beats config-level None."""
-    jobs = random_trace(3, 20)
-    a = Simulation(clone_jobs(jobs), _config(), policy=SjfPolicy()).run()
-    b = Simulation(clone_jobs(jobs), _config(), policy="sjf").run()
-    assert _job_outcomes(a) == _job_outcomes(b)
 
 
 # ----------------------------------------------------------------------

@@ -75,16 +75,14 @@ def _job_outcomes(result) -> list:
     return out
 
 
-def _run_both(jobs, config, mechanism, policy=None):
-    incremental = Simulation(
-        clone_jobs(jobs), config, mechanism, policy
-    ).run()
-    full = run_full_replan(clone_jobs(jobs), config, mechanism, policy)
+def _run_both(jobs, config, mechanism):
+    incremental = Simulation(clone_jobs(jobs), config, mechanism).run()
+    full = run_full_replan(clone_jobs(jobs), config, mechanism)
     return incremental, full
 
 
-def assert_equivalent(jobs, config, mechanism, policy=None):
-    incremental, full = _run_both(jobs, config, mechanism, policy)
+def assert_equivalent(jobs, config, mechanism):
+    incremental, full = _run_both(jobs, config, mechanism)
     assert _job_outcomes(incremental) == _job_outcomes(full)
     inc_view = json.dumps(
         replan_invariant_view(summarize(incremental)), sort_keys=True

@@ -5,7 +5,6 @@ import pytest
 from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType
-from repro.sched.fcfs import LjfPolicy, SjfPolicy
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation
 from repro.util.errors import ConfigurationError
@@ -124,7 +123,7 @@ class TestPolicyPlugin:
             rigid(2, 10.0, size=100, runtime=5000.0),
             rigid(3, 20.0, size=100, runtime=100.0),
         ]
-        res = Simulation(jobs, cfg(), policy=SjfPolicy()).run()
+        res = Simulation(jobs, cfg(policy="sjf")).run()
         j2 = next(j for j in res.jobs if j.job_id == 2)
         j3 = next(j for j in res.jobs if j.job_id == 3)
         assert j3.stats.first_start < j2.stats.first_start
@@ -135,7 +134,7 @@ class TestPolicyPlugin:
             rigid(2, 10.0, size=20, runtime=500.0),
             rigid(3, 20.0, size=90, runtime=500.0),
         ]
-        res = Simulation(jobs, cfg(backfill_enabled=False), policy=LjfPolicy()).run()
+        res = Simulation(jobs, cfg(backfill_enabled=False, policy="ljf")).run()
         j2 = next(j for j in res.jobs if j.job_id == 2)
         j3 = next(j for j in res.jobs if j.job_id == 3)
         assert j3.stats.first_start < j2.stats.first_start
@@ -147,7 +146,7 @@ class TestPolicyPlugin:
                 size=10, runtime=100.0, estimate=100.0),
         ]
         res = Simulation(
-            jobs, cfg(), Mechanism.parse("N&PAA"), policy=SjfPolicy()
+            jobs, cfg(policy="sjf"), Mechanism.parse("N&PAA")
         ).run()
         od = next(j for j in res.jobs if j.is_ondemand)
         assert od.start_delay == pytest.approx(0.0)

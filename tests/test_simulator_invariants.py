@@ -90,9 +90,10 @@ def check_run(jobs, mechanism, policy=None):
     config = SimConfig(
         system_size=SYSTEM,
         checkpoint=CheckpointModel(node_mtbf_s=1.0, min_interval_s=900.0),
+        policy=policy,
         validate_invariants=True,
     )
-    result = Simulation(jobs, config, mechanism, policy=policy).run()
+    result = Simulation(jobs, config, mechanism).run()
 
     # 1. every job completed exactly once
     assert all(j.state is JobState.COMPLETED for j in result.jobs)
