@@ -83,8 +83,8 @@ def test_ablation_backfill(benchmark, campaign, emit):
     """EASY backfilling on/off under the hybrid mechanism."""
 
     def run():
-        on = _grid_row(campaign, replace(campaign.sim, backfill_enabled=True))
-        off = _grid_row(campaign, replace(campaign.sim, backfill_enabled=False))
+        on = _grid_row(campaign, campaign.sim)
+        off = _grid_row(campaign, replace(campaign.sim, backfill_depth=0))
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -224,10 +224,10 @@ def test_conservative_planner_speedup(emit, perf_store):  # noqa: F811
 
 
 def test_policy_zoo_throughput(emit, perf_store):  # noqa: F811
-    """Every registered dispatcher on the 1k-job scenario.
+    """Every registered queue ordering on the 1k-job scenario.
 
     PRB/EWT and the score policy land in the perf observatory next to
-    the legacy orderings: one record per policy under the content-
+    the classic orderings: one record per policy under the content-
     addressed ``{"n_jobs": 1000, "policy": <name>}`` params, so each
     policy gets its own trend line.  Also asserts the aging policy's
     cost stays sane — ``prb_ewt`` disables the time-invariance skip,

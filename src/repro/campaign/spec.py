@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.jobs.checkpoint import CheckpointModel
-from repro.sched.registry import resolve_dispatcher
+from repro.sched.registry import get_policy
 from repro.sim.config import SimConfig
 from repro.sim.failures import FailureModel
 from repro.util.errors import ConfigurationError
@@ -119,8 +119,8 @@ class CampaignCell:
     trace_file: Optional[str] = None
     #: ``load_swf`` keyword arguments (cores_per_node, max_jobs, ...)
     trace_options: Mapping[str, object] = field(default_factory=dict)
-    #: registered dispatcher name (``repro.sched.registry``); ``None``
-    #: keeps the legacy FCFS + ``backfill_mode`` behaviour
+    #: registered queue-ordering name (``repro.sched.registry``);
+    #: ``None`` is FCFS.  The planner is ``backfill_mode``.
     policy: Optional[str] = None
     #: policy factory knobs (score weights, EWT classes, ...)
     policy_params: Mapping[str, object] = field(default_factory=dict)
@@ -274,8 +274,8 @@ class CampaignSpec:
     #: SWF log paths; ``None`` entries generate the synthetic Theta trace
     trace_file: Tuple[Optional[str], ...] = (None,)
     trace_options: Mapping[str, object] = field(default_factory=dict)
-    #: registered dispatcher names to sweep; ``None`` entries keep the
-    #: legacy FCFS + ``backfill_mode`` behaviour
+    #: registered queue-ordering names to sweep; ``None`` entries are
+    #: FCFS.  Each runs under every ``backfill_mode`` planner.
     policy: Tuple[Optional[str], ...] = (None,)
     #: per-policy factory knobs, keyed by policy name — e.g.
     #: ``{"score": {"wait_weight": 2}}``; each cell only carries the
@@ -325,7 +325,7 @@ class CampaignSpec:
                 )
         for pol in self.policy:
             if pol is not None:
-                resolve_dispatcher(pol, self.policy_params.get(pol, {}))
+                get_policy(pol, self.policy_params.get(pol))
 
     _AXES = (
         "days",

@@ -32,6 +32,7 @@ from repro.core.preemption import VictimCandidate, select_victims
 from repro.core.reservation import PlannedPreemption, Reservation, ReservationBook
 from repro.core.shrink import ShrinkCandidate, plan_even_shrink
 from repro.jobs.job import Job, JobState
+from repro.obs.registry import Histogram
 from repro.util.errors import InvariantViolation
 from repro.util.timeconst import MINUTE
 
@@ -94,8 +95,9 @@ class HybridCoordinator:
         self.ops = ops
         self.book = ReservationBook()
         self.ledger = LenderLedger()
-        #: wall-clock seconds spent deciding each on-demand arrival
-        self.decision_latencies: List[float] = []
+        #: wall-clock seconds spent deciding each on-demand arrival, in
+        #: fixed buckets: O(buckets) memory however many arrive
+        self.decision_latency = Histogram("sched.decision.latency_s")
         #: counts for reporting
         self.lease_resumes = 0
         self.lease_expands = 0
@@ -233,7 +235,7 @@ class HybridCoordinator:
         try:
             return self._handle_arrival(job)
         finally:
-            self.decision_latencies.append(_time.perf_counter() - t0)
+            self.decision_latency.observe(_time.perf_counter() - t0)
 
     def _handle_arrival(self, job: Job) -> bool:
         if self.mechanism is None:

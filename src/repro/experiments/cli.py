@@ -154,7 +154,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--policy",
         choices=list(policy_names()),
         default=None,
-        help="registered dispatcher (default: FCFS + --backfill)",
+        help="registered queue ordering (default: FCFS); the planner "
+        "is --backfill",
     )
     parser.add_argument(
         "--noshow-frac",
@@ -208,8 +209,9 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         nargs="*",
         choices=list(policy_names()),
         default=None,
-        help="registered dispatchers to sweep as a campaign axis "
-        "(default: the legacy FCFS + --backfill cells)",
+        help="registered queue orderings to sweep as a campaign axis "
+        "(default: unset, i.e. FCFS); each runs under every --backfill "
+        "planner",
     )
     parser.add_argument(
         "--policy-params",

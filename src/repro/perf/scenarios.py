@@ -129,8 +129,8 @@ def make_sim_core(params: Mapping[str, Any]) -> Scenario:
     """One simulator run of the near-saturated synthetic stream.
 
     Params: ``n_jobs`` (default 1000), ``backfill`` (easy/conservative),
-    ``policy`` (any registered dispatcher name, e.g. ``prb_ewt``;
-    empty = legacy FCFS), ``mechanism`` (e.g. ``CUA&SPAA``; empty =
+    ``policy`` (any registered queue-ordering name, e.g. ``prb_ewt``;
+    empty = FCFS), ``mechanism`` (e.g. ``CUA&SPAA``; empty =
     baseline), ``stream`` (0/1: generator-backed workload +
     O(in-flight) simulator memory), ``seed``, ``load``.
     """

@@ -11,9 +11,9 @@ order of waiting jobs, our mechanisms manipulate the running jobs".
 * :class:`~repro.sched.ewt.EwtPolicy` — PRB/EWT aging priority
   [BorghesiCLMB15]; :class:`~repro.sched.score.ScorePolicy` —
   composable weighted-sum priority [GalleguillosMOD17].
-* :mod:`repro.sched.registry` — the policy registry: every dispatcher
-  (ordering + optional forced planner) behind ``register_policy`` /
-  ``get_policy`` / ``list_policies`` / ``policy_names``.
+* :mod:`repro.sched.registry` — the policy registry: every queue
+  ordering behind ``register_policy`` / ``get_policy`` /
+  ``list_policies`` / ``policy_names``.
 * :mod:`repro.sched.easy` — EASY backfilling: shadow-time reservation for
   the queue head, conservative backfill of later jobs, and loans of
   reserved-idle nodes to backfilled jobs (§III-B.1).
@@ -25,12 +25,10 @@ from repro.sched.ewt import EwtPolicy
 from repro.sched.fcfs import FcfsPolicy, LjfPolicy, SjfPolicy
 from repro.sched.policy import SchedulingPolicy
 from repro.sched.registry import (
-    Dispatcher,
     get_policy,
     list_policies,
     policy_names,
     register_policy,
-    resolve_dispatcher,
 )
 from repro.sched.score import ScorePolicy
 
@@ -39,7 +37,6 @@ __all__ = [
     "ConservativeBackfillPlanner",
     "BackfillPlanner",
     "StartDecision",
-    "Dispatcher",
     "EwtPolicy",
     "FcfsPolicy",
     "SjfPolicy",
@@ -50,5 +47,4 @@ __all__ = [
     "list_policies",
     "policy_names",
     "register_policy",
-    "resolve_dispatcher",
 ]

@@ -65,22 +65,19 @@ class BackfillPlanner:
 
     Parameters
     ----------
-    backfill_enabled:
-        ``False`` degrades to plain FCFS (used by ablations).
     backfill_depth:
-        Scan at most this many queued jobs behind the head (None = all).
+        Scan at most this many queued jobs behind the head (None = all;
+        0 turns backfilling off, leaving plain in-order starts).
     allow_loans:
         Whether backfilled jobs may borrow reserved-idle nodes.
     """
 
     def __init__(
         self,
-        backfill_enabled: bool = True,
         backfill_depth: Optional[int] = None,
         allow_loans: bool = True,
         flexible_malleable: bool = True,
     ) -> None:
-        self.backfill_enabled = backfill_enabled
         self.backfill_depth = backfill_depth
         self.allow_loans = allow_loans
         self.flexible_malleable = flexible_malleable
@@ -132,7 +129,7 @@ class BackfillPlanner:
             free -= nodes
             head_idx += 1
 
-        if head_idx >= len(queue) or not self.backfill_enabled:
+        if head_idx >= len(queue) or self.backfill_depth == 0:
             return decisions
 
         # Phase 2 — shadow reservation for the blocked head (a profile

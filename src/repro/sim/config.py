@@ -31,8 +31,9 @@ class SimConfig:
         does not exceed this (arrival-instant starts have delay 0).
     checkpoint:
         Checkpoint cost/interval model for rigid jobs.
-    backfill_enabled / backfill_depth:
-        EASY backfilling switches (depth None = scan the whole queue).
+    backfill_depth:
+        How many queued jobs behind the blocked head EASY may backfill
+        (None = the whole queue; 0 turns backfilling off).
     allow_reserved_loans:
         Whether backfilled jobs may borrow reserved-idle nodes (§III-B.1).
     flexible_malleable:
@@ -52,7 +53,6 @@ class SimConfig:
     system_size: int = THETA_NODES
     instant_threshold_s: float = MINUTE
     checkpoint: CheckpointModel = field(default_factory=CheckpointModel)
-    backfill_enabled: bool = True
     backfill_depth: int | None = None
     #: "easy" (paper default) or "conservative" (every queued job gets a
     #: reservation; extension for the ablation suite)
@@ -61,10 +61,8 @@ class SimConfig:
     flexible_malleable: bool = True
     failures: FailureModel = field(default_factory=FailureModel.disabled)
     failure_seed: int = 0
-    #: registered policy name (see ``repro.sched.registry``); ``None``
-    #: keeps the legacy default (FCFS ordering + ``backfill_mode``'s
-    #: planner).  A dispatcher that forces a planner (``easy`` /
-    #: ``conservative``) overrides ``backfill_mode``.
+    #: registered queue-ordering name (see ``repro.sched.registry``);
+    #: ``None`` is FCFS.  The planner is ``backfill_mode``'s alone.
     policy: "str | None" = None
     #: tuning knobs passed to the policy factory (e.g. the score
     #: weights or the EWT class table); only valid with ``policy``
@@ -90,9 +88,9 @@ class SimConfig:
             # registry) and the params (bad knobs raise here, not
             # mid-simulation); the import is deferred so `sim` never
             # hard-depends on `sched` at module-import time
-            from repro.sched.registry import resolve_dispatcher
+            from repro.sched.registry import get_policy
 
-            resolve_dispatcher(self.policy, self.policy_params)
+            get_policy(self.policy, self.policy_params)
         elif self.policy_params:
             raise ConfigurationError(
                 "policy_params given without a policy; set policy to "

@@ -53,7 +53,7 @@ from repro.metrics.accumulators import SummaryAccumulator
 from repro.sched.conservative import ConservativeBackfillPlanner
 from repro.sched.easy import BackfillPlanner
 from repro.sched.policy import SchedulingPolicy
-from repro.sched.registry import resolve_dispatcher
+from repro.sched.registry import get_policy
 from repro.sched.profile import AvailabilityTimeline, ProfileView
 from repro.sim.cluster import Cluster
 from repro.sim.config import SimConfig
@@ -121,31 +121,6 @@ class LatencyStats:
     p99_s: float = 0.0
     max_s: float = 0.0
     mean_s: float = 0.0
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
-        if not samples:
-            return cls()
-        ordered = sorted(samples)
-
-        def pct(p: float) -> float:
-            # nearest-rank: the ceil(p*n)-th smallest sample (1-based).
-            # ``int(p * n)`` indexed one past that position whenever
-            # ``p*n`` was integral (p50 of [1,2,3,4] returned 3, not 2);
-            # this matches Histogram.percentile's ``seen >= p*count``
-            # bucket selection, so from_histogram agrees on shared
-            # sample streams.
-            rank = math.ceil(p * len(ordered))
-            return ordered[max(0, min(len(ordered) - 1, rank - 1))]
-
-        return cls(
-            count=len(ordered),
-            p50_s=pct(0.50),
-            p95_s=pct(0.95),
-            p99_s=pct(0.99),
-            max_s=ordered[-1],
-            mean_s=sum(ordered) / len(ordered),
-        )
 
     @classmethod
     def from_histogram(cls, h) -> "LatencyStats":
@@ -220,10 +195,10 @@ class Simulation:
         One of the six mechanisms, or ``None`` for the baseline
         (FCFS/EASY with no special treatment of any job class).
 
-    The queue policy is ``config.policy``, resolved through
+    The queue policy is ``config.policy``, built by
     :mod:`repro.sched.registry` with ``config.policy_params`` as the
-    factory knobs; unset, it is FCFS.  A dispatcher that forces a
-    planner ("easy"/"conservative") overrides ``config.backfill_mode``.
+    factory knobs; unset, it is FCFS.  The planner is
+    ``config.backfill_mode``.
     """
 
     def __init__(
@@ -234,10 +209,9 @@ class Simulation:
     ) -> None:
         self.config = config or SimConfig()
         self.mechanism = mechanism
-        dispatcher = resolve_dispatcher(
+        self.policy: SchedulingPolicy = get_policy(
             self.config.policy or "fcfs", self.config.policy_params
         )
-        self.policy: SchedulingPolicy = dispatcher.ordering
         if isinstance(jobs, Sequence):
             # a list is a stream whose notice horizon is known exactly;
             # the stable sort keeps equal-submit jobs in list order
@@ -286,14 +260,10 @@ class Simulation:
         self.now = 0.0
         self.cluster = Cluster(self.config.system_size)
         self.coordinator = HybridCoordinator(mechanism, self)
-        backfill_mode = dispatcher.backfill_mode or self.config.backfill_mode
-        if backfill_mode == "conservative":
-            self.planner = ConservativeBackfillPlanner(
-                flexible_malleable=self.config.flexible_malleable
-            )
+        if self.config.backfill_mode == "conservative":
+            self.planner = ConservativeBackfillPlanner()
         else:
             self.planner = BackfillPlanner(
-                backfill_enabled=self.config.backfill_enabled,
                 backfill_depth=self.config.backfill_depth,
                 allow_loans=self.config.allow_reserved_loans,
                 flexible_malleable=self.config.flexible_malleable,
@@ -1003,10 +973,12 @@ class Simulation:
         obs.counter("sim.events.processed").inc(self._events_processed)
         obs.counter("sim.passes.run").inc(self._schedule_passes)
         obs.counter("sim.passes.skipped").inc(self._passes_skipped)
+        latency = self.coordinator.decision_latency
         if obs.enabled:
-            h = obs.histogram("sched.decision.latency_s")
-            for sample in self.coordinator.decision_latencies:
-                h.observe(sample)
+            # one run's histogram as a snapshot: O(buckets) to fold in
+            obs.registry.merge_dict(
+                {"histograms": {latency.name: latency.to_dict()}}
+            )
 
         if self.running or queue:
             raise SimulationError(
@@ -1055,9 +1027,7 @@ class Simulation:
             last_end=last_end,
             reserved_idle_node_seconds=self.coordinator.book.held_node_seconds,
             free_node_seconds=self.cluster.free_node_seconds,
-            decision_latency=LatencyStats.from_samples(
-                self.coordinator.decision_latencies
-            ),
+            decision_latency=LatencyStats.from_histogram(latency),
             events_processed=self._events_processed,
             schedule_passes=self._schedule_passes,
             passes_skipped=self._passes_skipped,

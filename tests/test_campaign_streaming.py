@@ -11,6 +11,8 @@ mechanisms, scheduling policies, checkpoint/failure axes, and
 SWF-backed cells.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,13 @@ from repro.campaign.store import CellRecord
 from repro.experiments.runner import run_one
 from repro.jobs.job import JobType
 from repro.metrics.summary import deterministic_view
-from repro.sched.registry import policy_names
 from repro.workload.ondemand import burstiness_cv, ondemand_jobs_per_week
 from repro.workload.swf import load_swf, retype_jobs
 from repro.workload.theta import generate_trace
 from repro.workload.trace_cache import reset_trace_cache
+
+sys.path.insert(0, "tests")
+from policy_cases import POLICY_CASES  # noqa: E402
 
 SWF_TEXT = """\
 ; MaxNodes: 512
@@ -139,9 +143,14 @@ class TestStreamedStoreEquivalence:
         streamed, materialized = stores_for(spec)
         assert streamed == materialized
 
-    @pytest.mark.parametrize("policy", policy_names())
-    def test_every_policy(self, policy):
-        spec = small_spec(policy=[policy], mechanism=[None], seeds=[1])
+    @pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
+    def test_every_policy(self, policy, backfill_mode):
+        spec = small_spec(
+            policy=[policy],
+            backfill_mode=[backfill_mode],
+            mechanism=[None],
+            seeds=[1],
+        )
         streamed, materialized = stores_for(spec)
         assert streamed == materialized
 

@@ -103,7 +103,7 @@ class TestBackfill:
         assert [d.job.job_id for d in ds] == [2]
 
     def test_backfill_disabled(self):
-        planner = BackfillPlanner(backfill_enabled=False)
+        planner = BackfillPlanner(backfill_depth=0)
         queue = [rigid(1, 100, estimate=5000.0), rigid(2, 30, estimate=1000.0)]
         ds = plan(queue, free=40, blocks=[(2000.0, 80)], planner=planner)
         assert ds == []

@@ -54,8 +54,8 @@ class TestConfig:
     def test_with_spec_and_sim(self):
         spec2 = theta_spec(days=5)
         assert QUICK.with_spec(spec2).spec.days == 5
-        sim2 = SimConfig(backfill_enabled=False)
-        assert QUICK.with_sim(sim2).sim.backfill_enabled is False
+        sim2 = SimConfig(backfill_depth=0)
+        assert QUICK.with_sim(sim2).sim.backfill_depth == 0
 
 
 class TestRunner:

@@ -1,6 +1,7 @@
 """Registry-driven invariant harness: every registered policy must obey
-the simulator's safety properties, discovered via ``policy_names()``
-alone — a newly registered policy is picked up with zero test edits.
+the simulator's safety properties under both planners, discovered via
+``policy_names()`` alone — a newly registered policy is picked up with
+zero test edits (the grid and its ids: ``tests/policy_cases.py``).
 
 Set ``REPRO_POLICY=<name>`` to restrict the module to one policy (the
 CI policy-matrix job runs one shard per registered name).
@@ -19,13 +20,13 @@ Invariants checked per policy:
   aging policy would love to run something else.
 """
 
-import os
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 sys.path.insert(0, "tests")
+from policy_cases import POLICY_CASES  # noqa: E402
 from test_simulator_invariants import (  # noqa: E402
     SYSTEM,
     check_run,
@@ -35,19 +36,9 @@ from test_simulator_invariants import (  # noqa: E402
 from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobType, NoticeClass
-from repro.sched.registry import policy_names
 from repro.sim.config import SimConfig
 from repro.sim.schedlog import LogKind
 from repro.sim.simulator import Simulation
-
-ALL_POLICIES = policy_names()
-_ONLY = os.environ.get("REPRO_POLICY")
-if _ONLY and _ONLY not in ALL_POLICIES:
-    raise RuntimeError(
-        f"REPRO_POLICY={_ONLY!r} is not registered; "
-        f"known policies: {', '.join(ALL_POLICIES)}"
-    )
-POLICIES = tuple(n for n in ALL_POLICIES if not _ONLY or n == _ONLY)
 
 MECHANISMS = [None, "N&PAA", "CUA&SPAA"]
 
@@ -56,13 +47,13 @@ def _mech(name):
     return Mechanism.parse(name) if name else None
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
 @pytest.mark.parametrize("mechanism", MECHANISMS,
                          ids=lambda m: m or "baseline")
 @pytest.mark.parametrize("seed", [1, 8])
-def test_fuzz_traces_every_policy(policy, mechanism, seed):
+def test_fuzz_traces_every_policy(policy, backfill_mode, mechanism, seed):
     jobs = random_trace(seed, n_jobs=50)
-    check_run(jobs, _mech(mechanism), policy=policy)
+    check_run(jobs, _mech(mechanism), policy, backfill_mode)
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +93,10 @@ def _replay_log(entries, submit_times, system_size):
     return peak
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
 @pytest.mark.parametrize("mechanism", MECHANISMS,
                          ids=lambda m: m or "baseline")
-def test_log_replay_no_oversubscription(policy, mechanism):
+def test_log_replay_no_oversubscription(policy, backfill_mode, mechanism):
     jobs = random_trace(17, n_jobs=60)
     submit_times = {j.job_id: j.submit_time for j in jobs}
     config = SimConfig(
@@ -114,6 +105,7 @@ def test_log_replay_no_oversubscription(policy, mechanism):
         log_decisions=True,
         validate_invariants=True,
         policy=policy,
+        backfill_mode=backfill_mode,
     )
     result = Simulation(jobs, config, _mech(mechanism)).run()
     peak = _replay_log(result.log.entries, submit_times, SYSTEM)
@@ -123,8 +115,8 @@ def test_log_replay_no_oversubscription(policy, mechanism):
 # ----------------------------------------------------------------------
 # Work conservation: an idle machine never makes a lone job wait
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("policy", POLICIES)
-def test_idle_machine_starts_instantly(policy):
+@pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
+def test_idle_machine_starts_instantly(policy, backfill_mode):
     jobs = [
         Job(
             job_id=0,
@@ -139,6 +131,7 @@ def test_idle_machine_starts_instantly(policy):
         system_size=SYSTEM,
         checkpoint=CheckpointModel.disabled(),
         policy=policy,
+        backfill_mode=backfill_mode,
     )
     result = Simulation(jobs, config, None).run()
     (job,) = result.jobs
@@ -148,8 +141,8 @@ def test_idle_machine_starts_instantly(policy):
 # ----------------------------------------------------------------------
 # Reservations honored under every ordering
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("policy", POLICIES)
-def test_reservation_honored(policy):
+@pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
+def test_reservation_honored(policy, backfill_mode):
     """An accurate-notice on-demand job under SPAA must start by its
     estimated arrival regardless of how the policy orders the queue."""
     jobs = [
@@ -179,12 +172,13 @@ def test_reservation_honored(policy):
         checkpoint=CheckpointModel.disabled(),
         validate_invariants=True,
         policy=policy,
+        backfill_mode=backfill_mode,
     )
     result = Simulation(jobs, config, Mechanism.parse("N&SPAA")).run()
     od = next(j for j in result.jobs if j.is_ondemand)
     assert od.stats.first_start == pytest.approx(6_000.0, abs=1.0), (
-        f"policy {policy!r} delayed a reserved on-demand job to "
-        f"{od.stats.first_start}"
+        f"policy {policy!r} under {backfill_mode} backfill delayed a "
+        f"reserved on-demand job to {od.stats.first_start}"
     )
 
 
@@ -199,9 +193,10 @@ def test_reservation_honored(policy):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n_jobs=st.integers(min_value=5, max_value=35),
-    policy_idx=st.integers(min_value=0, max_value=len(POLICIES) - 1),
+    case_idx=st.integers(min_value=0, max_value=len(POLICY_CASES) - 1),
     mech_idx=st.integers(min_value=0, max_value=len(MECHANISMS) - 1),
 )
-def test_hypothesis_fuzz_policy_zoo(seed, n_jobs, policy_idx, mech_idx):
+def test_hypothesis_fuzz_policy_zoo(seed, n_jobs, case_idx, mech_idx):
     jobs = random_trace(seed, n_jobs=n_jobs)
-    check_run(jobs, _mech(MECHANISMS[mech_idx]), policy=POLICIES[policy_idx])
+    policy, backfill_mode = POLICY_CASES[case_idx].values
+    check_run(jobs, _mech(MECHANISMS[mech_idx]), policy, backfill_mode)

@@ -1,7 +1,8 @@
-"""The policy registry: contents, fail-fast resolution, byte-identical
-re-registration of the legacy dispatchers, score-policy degeneracies,
-campaign-axis stability, and the seed-frozen golden decision logs for
-the two new policy families.
+"""The policy registry: contents, fail-fast resolution, ``fcfs`` planning
+exactly like the unset policy under both planners, score-policy
+degeneracies, campaign-axis stability, the seed-frozen golden decision
+logs for the two newer policy families, and the removed planner
+aliases and ``backfill_enabled`` switch failing fast.
 
 The campaign-hash tests pin content addresses computed *before* the
 policy axis existed: if any of them moves, re-running a pre-PR campaign
@@ -28,7 +29,6 @@ from repro.jobs.job import Job, JobType, NoticeClass
 from repro.sched import FcfsPolicy, LjfPolicy, SjfPolicy
 from repro.sched.ewt import EwtPolicy
 from repro.sched.registry import (
-    Dispatcher,
     get_policy,
     list_policies,
     policy_names,
@@ -42,7 +42,7 @@ from repro.workload.trace import clone_jobs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-BUILTIN = ("easy", "conservative", "fcfs", "sjf", "ljf", "prb_ewt", "score")
+BUILTIN = ("fcfs", "sjf", "ljf", "prb_ewt", "score")
 
 
 # ----------------------------------------------------------------------
@@ -54,29 +54,23 @@ class TestRegistryApi:
         assert set(BUILTIN) <= set(names)
         assert names == tuple(sorted(names))
         listing = list_policies()
-        assert len(listing) >= 7
+        assert len(listing) >= 5
         assert all(listing[name] for name in BUILTIN), (
             "every built-in needs a one-line description"
         )
 
     def test_get_policy_builds_dispatchers(self):
-        assert isinstance(get_policy("fcfs").ordering, FcfsPolicy)
-        assert isinstance(get_policy("sjf").ordering, SjfPolicy)
-        assert isinstance(get_policy("ljf").ordering, LjfPolicy)
-        assert isinstance(get_policy("prb_ewt").ordering, EwtPolicy)
-        assert isinstance(get_policy("score").ordering, ScorePolicy)
-        easy = get_policy("easy")
-        assert isinstance(easy, Dispatcher)
-        assert isinstance(easy.ordering, FcfsPolicy)
-        assert easy.backfill_mode == "easy"
-        assert get_policy("conservative").backfill_mode == "conservative"
-        assert get_policy("fcfs").backfill_mode is None
+        assert isinstance(get_policy("fcfs"), FcfsPolicy)
+        assert isinstance(get_policy("sjf"), SjfPolicy)
+        assert isinstance(get_policy("ljf"), LjfPolicy)
+        assert isinstance(get_policy("prb_ewt"), EwtPolicy)
+        assert isinstance(get_policy("score"), ScorePolicy)
 
     def test_params_reach_the_factory(self):
-        d = get_policy("score", wait_weight=0.0, size_weight=2.5)
-        assert d.ordering.size_weight == 2.5
-        e = get_policy("prb_ewt", long_ewt_s=14400.0)
-        assert e.ordering.long_ewt_s == 14400.0
+        d = get_policy("score", {"wait_weight": 0.0, "size_weight": 2.5})
+        assert d.size_weight == 2.5
+        e = get_policy("prb_ewt", {"long_ewt_s": 14400.0})
+        assert e.long_ewt_s == 14400.0
 
     def test_unknown_name_lists_the_registry(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -87,24 +81,24 @@ class TestRegistryApi:
 
     def test_bad_params_fail_fast(self):
         with pytest.raises(ConfigurationError, match="score"):
-            get_policy("score", bogus_knob=1)
+            get_policy("score", {"bogus_knob": 1})
         with pytest.raises(ConfigurationError, match="ondemand_ewt_s"):
-            get_policy("prb_ewt", ondemand_ewt_s=-1.0)
+            get_policy("prb_ewt", {"ondemand_ewt_s": -1.0})
         with pytest.raises(ConfigurationError, match="prb_ewt"):
-            get_policy("prb_ewt", bogus_knob=1.0)
+            get_policy("prb_ewt", {"bogus_knob": 1.0})
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
 
             @register_policy("fcfs")
             def _dup(**params):
-                return Dispatcher(ordering=FcfsPolicy())
+                return FcfsPolicy()
 
     def test_aging_policy_declares_time_variance(self):
-        assert get_policy("prb_ewt").ordering.time_invariant is False
+        assert get_policy("prb_ewt").time_invariant is False
         # the score policy's key is submit-anchored: time-invariant for
         # any weights (the common now-term is dropped)
-        assert get_policy("score", wait_weight=3.0).ordering.time_invariant
+        assert get_policy("score", {"wait_weight": 3.0}).time_invariant
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +106,7 @@ class TestRegistryApi:
 # kept-sorted wait queue both rely on ``time_invariant``
 # ----------------------------------------------------------------------
 TIME_INVARIANT = [
-    name for name in policy_names() if get_policy(name).ordering.time_invariant
+    name for name in policy_names() if get_policy(name).time_invariant
 ]
 
 
@@ -158,7 +152,7 @@ times = st.floats(min_value=0.0, max_value=1e8)
 @settings(max_examples=50, deadline=None)
 @given(queue=any_queue(), t1=times, t2=times)
 def test_time_invariant_key_ignores_now(name, queue, t1, t2):
-    policy = get_policy(name).ordering
+    policy = get_policy(name)
     for job in queue:
         assert policy.key(job, t1) == policy.key(job, t2)
 
@@ -168,47 +162,43 @@ def test_time_invariant_key_ignores_now(name, queue, t1, t2):
 @settings(max_examples=50, deadline=None)
 @given(queue=any_queue(), now=times)
 def test_static_key_sorts_like_order(name, prioritize_ondemand, queue, now):
-    policy = get_policy(name).ordering
+    policy = get_policy(name)
     by_static = sorted(queue, key=policy.static_key(prioritize_ondemand))
     by_order = policy.order(queue, now, prioritize_ondemand)
     assert [j.job_id for j in by_static] == [j.job_id for j in by_order]
 
 
 def test_time_variant_policy_has_no_static_key():
-    assert get_policy("prb_ewt").ordering.static_key(True) is None
-    assert get_policy("prb_ewt").ordering.static_key(False) is None
+    assert get_policy("prb_ewt").static_key(True) is None
+    assert get_policy("prb_ewt").static_key(False) is None
 
 
 # ----------------------------------------------------------------------
-# Re-registered legacy dispatchers plan byte-identically
+# ``fcfs`` plans byte-identically to the unset policy, under both planners
 # ----------------------------------------------------------------------
 def _decision_log(result):
     return [e.to_json_line() for e in result.log.entries]
 
 
-LEGACY_CASES = [
-    # registered name, the pre-registry config kwargs it stands for
-    ("easy", {}),
-    ("conservative", {"backfill_mode": "conservative"}),
-    ("fcfs", {}),
-]
-
-
-@pytest.mark.parametrize(
-    "name,legacy_kw", LEGACY_CASES, ids=[c[0] for c in LEGACY_CASES]
-)
-def test_reregistered_policies_plan_byte_identically(name, legacy_kw):
+@pytest.mark.parametrize("backfill_mode", ["easy", "conservative"])
+def test_fcfs_plans_like_the_unset_policy(backfill_mode):
     jobs = random_trace(13, 45)
     mech = Mechanism.parse("N&SPAA")
-    legacy = Simulation(
-        clone_jobs(jobs), _config(log_decisions=True, **legacy_kw), mech
+    unset = Simulation(
+        clone_jobs(jobs),
+        _config(log_decisions=True, backfill_mode=backfill_mode),
+        mech,
     ).run()
-    via_registry = Simulation(
-        clone_jobs(jobs), _config(log_decisions=True, policy=name), mech
+    fcfs = Simulation(
+        clone_jobs(jobs),
+        _config(
+            log_decisions=True, backfill_mode=backfill_mode, policy="fcfs"
+        ),
+        mech,
     ).run()
-    assert _decision_log(via_registry) == _decision_log(legacy)
-    assert _job_outcomes(via_registry) == _job_outcomes(legacy)
-    assert via_registry.policy == legacy.policy
+    assert _decision_log(fcfs) == _decision_log(unset)
+    assert _job_outcomes(fcfs) == _job_outcomes(unset)
+    assert fcfs.policy == unset.policy == "fcfs"
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +425,39 @@ class TestConfigFailFast:
     def test_sim_config_bad_params(self):
         with pytest.raises(ConfigurationError, match="score"):
             SimConfig(policy="score", policy_params={"bogus": 1})
+
+    def test_planner_aliases_are_not_policies(self):
+        # the planner is ``backfill_mode`` alone: a planner name is an
+        # unknown policy, at the config and at the campaign axis
+        with pytest.raises(ConfigurationError, match="'easy'"):
+            SimConfig(policy="easy")
+        with pytest.raises(ConfigurationError, match="'conservative'"):
+            CampaignSpec(policy=("conservative",))
+
+    def test_backfill_enabled_override_rejected(self):
+        # ``backfill_depth=0`` is the one way to turn backfilling off
+        with pytest.raises(ConfigurationError, match="backfill_enabled"):
+            CampaignSpec(sim_overrides={"backfill_enabled": False})
+
+    @pytest.mark.parametrize(
+        "key,value,bad",
+        [
+            ("policy", ["easy"], "'easy'"),
+            ("policy", ["conservative"], "'conservative'"),
+            ("sim_overrides", {"backfill_enabled": False}, "backfill_enabled"),
+        ],
+        ids=["easy", "conservative", "backfill_enabled"],
+    )
+    def test_stored_spec_with_removed_setting_rejected(
+        self, tmp_path, key, value, bad
+    ):
+        from repro.campaign.distrib.worker import load_spec
+        from repro.campaign.store import SPEC_FILE
+
+        payload = {**PINNED_SPEC_DICT, key: value}
+        (tmp_path / SPEC_FILE).write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=bad):
+            load_spec(tmp_path)
 
     def test_sim_config_orphan_params(self):
         with pytest.raises(ConfigurationError, match="without a policy"):

@@ -16,29 +16,22 @@ PAA/SPAA arms, timeouts — is crossed with the skip logic.
 """
 
 import json
-import os
 import sys
 
 import pytest
 
 sys.path.insert(0, "tests")
+from policy_cases import POLICY_CASES  # noqa: E402
 from replan_oracle import replan_invariant_view, run_full_replan  # noqa: E402
 from test_simulator_invariants import SYSTEM, random_trace  # noqa: E402
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.metrics.summary import summarize
-from repro.sched.registry import policy_names
 from repro.sim.config import SimConfig
 from repro.sim.failures import FailureModel
 from repro.sim.simulator import Simulation
 from repro.workload.trace import clone_jobs
-
-_ONLY = os.environ.get("REPRO_POLICY")
-REGISTRY_POLICIES = tuple(
-    n for n in policy_names() if not _ONLY or n == _ONLY
-)
-
 
 def _config(**kw) -> SimConfig:
     base = dict(
@@ -137,22 +130,25 @@ def test_with_failure_injection(seed):
     assert incremental.failures_injected > 0, "scenario injected nothing"
 
 
-@pytest.mark.parametrize("policy", REGISTRY_POLICIES)
-def test_registry_policies_replan_equivalence(policy):
-    """Every registered policy — including time-varying aging ones,
-    which disable the stale-batch skip but keep the empty-queue skip —
-    must plan identically in incremental and full-replan modes.  New
-    registrations are covered automatically via ``policy_names()``."""
+@pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
+def test_registry_policies_replan_equivalence(policy, backfill_mode):
+    """Every registered policy under both planners — including
+    time-varying aging ones, which disable the stale-batch skip but keep
+    the empty-queue skip — must plan identically in incremental and
+    full-replan modes.  New registrations are covered automatically via
+    ``policy_names()``."""
     jobs = random_trace(41, 30)
     assert_equivalent(
-        jobs, _config(policy=policy), Mechanism.parse("N&SPAA")
+        jobs,
+        _config(policy=policy, backfill_mode=backfill_mode),
+        Mechanism.parse("N&SPAA"),
     )
 
 
 def test_backfill_variants():
     jobs = random_trace(59, 30)
     for kw in (
-        {"backfill_enabled": False},
+        {"backfill_depth": 0},
         {"backfill_depth": 2},
         {"allow_reserved_loans": False},
         {"flexible_malleable": False},

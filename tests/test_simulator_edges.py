@@ -59,7 +59,7 @@ class TestConfigPropagation:
             rigid(2, 10.0, size=100, runtime=1000.0),
             rigid(3, 20.0, size=30, runtime=100.0),
         ]
-        res = Simulation(jobs, cfg(backfill_enabled=False)).run()
+        res = Simulation(jobs, cfg(backfill_depth=0)).run()
         j3 = next(j for j in res.jobs if j.job_id == 3)
         # without backfilling, job3 waits behind the blocked head
         assert j3.stats.first_start >= 5000.0
@@ -134,7 +134,7 @@ class TestPolicyPlugin:
             rigid(2, 10.0, size=20, runtime=500.0),
             rigid(3, 20.0, size=90, runtime=500.0),
         ]
-        res = Simulation(jobs, cfg(backfill_enabled=False, policy="ljf")).run()
+        res = Simulation(jobs, cfg(backfill_depth=0, policy="ljf")).run()
         j2 = next(j for j in res.jobs if j.job_id == 2)
         j3 = next(j for j in res.jobs if j.job_id == 3)
         assert j3.stats.first_start < j2.stats.first_start

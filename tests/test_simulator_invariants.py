@@ -86,11 +86,12 @@ def random_trace(seed: int, n_jobs: int) -> list:
     return jobs
 
 
-def check_run(jobs, mechanism, policy=None):
+def check_run(jobs, mechanism, policy=None, backfill_mode="easy"):
     config = SimConfig(
         system_size=SYSTEM,
         checkpoint=CheckpointModel(node_mtbf_s=1.0, min_interval_s=900.0),
         policy=policy,
+        backfill_mode=backfill_mode,
         validate_invariants=True,
     )
     result = Simulation(jobs, config, mechanism).run()

@@ -12,15 +12,11 @@ Covers the three equivalence contracts the streaming path promises:
   (``result.jobs == []``);
 * the bugfix satellites: ``EventQueue.pop_batch`` must not split
   same-instant batches at month-scale timestamps (the seed's absolute
-  ``1e-9`` tolerance did, past ``t ~ 1e8`` s),
-  ``LatencyStats.from_samples`` percentiles are nearest-rank
-  (``int(p*n)`` indexed one past the rank whenever ``p*n`` was
-  integral), and a stream whose notices outrun its declared horizon
-  is rejected at admission.
+  ``1e-9`` tolerance did, past ``t ~ 1e8`` s), and a stream whose
+  notices outrun its declared horizon is rejected at admission.
 """
 
 import math
-import os
 import random
 import sys
 
@@ -29,14 +25,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.jobs.job import Job, JobType, NoticeClass
-from repro.sched.registry import policy_names
 from repro.metrics.breakdown import (
     ondemand_by_notice_class,
     utilization_series,
     waste_by_type,
 )
 from repro.metrics.summary import deterministic_view, summarize
-from repro.obs.registry import Histogram
 from repro.perf.record import canonical_json
 from repro.sim.config import SimConfig
 from repro.sim.engine import EventQueue
@@ -54,16 +48,12 @@ from metrics_reference import (  # noqa: E402
     summarize_per_job,
     waste_by_type_per_job,
 )
+from policy_cases import POLICY_CASES  # noqa: E402
 from test_simulator_invariants import SYSTEM, random_trace  # noqa: E402
 
 #: small but fully featured: every job type, every notice class, a few
 #: hundred jobs — enough for preemptions, loans, and shrinks to occur
 SPEC = theta_spec(days=4, target_load=0.85)
-
-_ONLY = os.environ.get("REPRO_POLICY")
-STREAM_POLICIES = tuple(
-    n for n in policy_names() if not _ONLY or n == _ONLY
-)
 
 
 def _sim_config(**overrides) -> SimConfig:
@@ -178,14 +168,17 @@ def test_streamed_matches_materialized(mechanism):
     )
 
 
-@pytest.mark.parametrize("policy", STREAM_POLICIES)
-def test_streamed_matches_materialized_every_policy(policy):
-    """Stream == materialized holds for every *registered* policy, new
-    entries included automatically — aging policies (time-varying keys)
-    exercise the pass-skip interplay hardest."""
+@pytest.mark.parametrize("policy,backfill_mode", POLICY_CASES)
+def test_streamed_matches_materialized_every_policy(policy, backfill_mode):
+    """Stream == materialized holds for every *registered* policy under
+    both planners, new entries included automatically — aging policies
+    (time-varying keys) exercise the pass-skip interplay hardest."""
     spec = theta_spec(days=2, target_load=0.85)
     config = SimConfig(
-        system_size=spec.system_size, log_decisions=True, policy=policy
+        system_size=spec.system_size,
+        log_decisions=True,
+        policy=policy,
+        backfill_mode=backfill_mode,
     )
     mechanism = ALL_MECHANISMS[0]
     mat = Simulation(
@@ -434,32 +427,13 @@ def test_pop_batch_reuses_the_out_list():
 
 
 # ----------------------------------------------------------------------
-# Satellite fix: nearest-rank percentiles
+# Decision latency: one fixed-bucket recorder per run
 # ----------------------------------------------------------------------
-def test_latency_percentiles_are_nearest_rank():
-    s = LatencyStats.from_samples([1.0, 2.0, 3.0, 4.0])
-    # p50 of 4 samples is the 2nd smallest; int(0.5 * 4) indexed the 3rd
-    assert s.p50_s == 2.0
-    assert s.max_s == 4.0
-
-    s = LatencyStats.from_samples([float(i) for i in range(1, 101)])
-    assert (s.p50_s, s.p95_s, s.p99_s) == (50.0, 95.0, 99.0)
-
-    s = LatencyStats.from_samples([7.0])
-    assert (s.p50_s, s.p95_s, s.p99_s, s.max_s) == (7.0, 7.0, 7.0, 7.0)
-
-
-def test_from_histogram_agrees_with_from_samples_on_bucket_bounds():
-    # samples that sit exactly on bucket bounds: the two constructors
-    # must agree (both are ceil-rank); before the fix from_samples
-    # returned the next sample up whenever p*n was integral
-    samples = [1.0, 2.0, 3.0, 4.0]
-    h = Histogram("t", bounds=(1.0, 2.0, 3.0, 4.0))
-    for v in samples:
-        h.observe(v)
-    exact = LatencyStats.from_samples(samples)
-    approx = LatencyStats.from_histogram(h)
-    assert approx.count == exact.count
-    assert approx.p50_s == exact.p50_s == 2.0
-    assert approx.max_s == exact.max_s
-    assert approx.mean_s == exact.mean_s
+def test_decision_latency_is_the_coordinator_histogram():
+    jobs = ThetaWorkloadGenerator(SPEC, seed=3).generate()
+    arrivals = sum(1 for j in jobs if j.is_ondemand and not j.no_show)
+    sim = Simulation(jobs, _sim_config(), Mechanism.parse("CUA&SPAA"))
+    result = sim.run()
+    histogram = sim.coordinator.decision_latency
+    assert result.decision_latency == LatencyStats.from_histogram(histogram)
+    assert result.decision_latency.count == arrivals > 0

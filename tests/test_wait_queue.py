@@ -53,7 +53,7 @@ def ids(jobs):
 def test_random_adds_and_removes_match_sorted_reference(
     name, prioritize_ondemand, fields, steps, now
 ):
-    policy = get_policy(name).ordering
+    policy = get_policy(name)
     jobs = [queued_job(i, *f) for i, f in enumerate(fields)]
     queue = WaitQueue(policy, prioritize_ondemand)
     inside = set()
@@ -85,7 +85,7 @@ def test_random_adds_and_removes_match_sorted_reference(
 
 
 def three_queued(policy_name="fcfs"):
-    queue = WaitQueue(get_policy(policy_name).ordering, prioritize_ondemand=True)
+    queue = WaitQueue(get_policy(policy_name), prioritize_ondemand=True)
     jobs = [
         queued_job(0, JobType.RIGID, 0.0, 1, 100.0),
         queued_job(1, JobType.ONDEMAND, 5.0, 1, 100.0),
