@@ -11,9 +11,9 @@ and reports the same Fig. 6 metrics:
 
 All ablations run through the campaign engine against one shared
 content-addressed store (``benchmarks/out/``), so re-running the suite —
-or any single ablation — is pure cache hits for unchanged cells; the
-sim/spec knobs land in the cells' override dicts (the policy name on the
-campaign policy axis) and hash the variants apart.
+or any single ablation — is pure cache hits for unchanged cells; each
+variant sets its knob in the campaign's override dicts (the policy name
+on the campaign policy axis), which hash the variants apart.
 """
 
 import pathlib
@@ -32,19 +32,14 @@ MECH = Mechanism.parse("CUA&SPAA")
 CACHE_DIR = pathlib.Path(__file__).parent / "out" / "ablation_campaign"
 
 
-def _grid_row(campaign, sim=None, spec=None):
-    """Averaged CUA&SPAA summary for one ablation variant, via campaign."""
-    config = campaign
-    if spec is not None:
-        config = config.with_spec(spec)
-    if sim is not None:
-        config = config.with_sim(sim)
-    config = replace(config, mechanisms=[MECH])
-    run = run_campaign(
-        config.to_campaign_spec(name="ablations"),
-        store=ResultStore(CACHE_DIR),
-        workers=campaign.workers,
-    )
+def _grid_row(campaign, workers, **axes):
+    """Averaged CUA&SPAA summary for one ablation variant, via campaign.
+
+    *axes* replace fields of the benchmark campaign (an override dict,
+    the policy axis); the defaults are the unablated design.
+    """
+    cspec = replace(campaign, name="ablations", mechanism=(MECH.name,), **axes)
+    run = run_campaign(cspec, store=ResultStore(CACHE_DIR), workers=workers)
     if run.n_failed:
         failed = [r for r in run.records if not r.ok]
         raise RuntimeError(
@@ -54,12 +49,14 @@ def _grid_row(campaign, sim=None, spec=None):
     return average_summaries([r.summary_metrics() for r in run.ok_records])
 
 
-def test_ablation_reserved_loans(benchmark, campaign, emit):
+def test_ablation_reserved_loans(benchmark, campaign, workers, emit):
     """Reserved-idle nodes loaned to backfill vs held strictly idle."""
 
     def run():
-        on = _grid_row(campaign, replace(campaign.sim, allow_reserved_loans=True))
-        off = _grid_row(campaign, replace(campaign.sim, allow_reserved_loans=False))
+        on = _grid_row(campaign, workers)
+        off = _grid_row(
+            campaign, workers, sim_overrides={"allow_reserved_loans": False}
+        )
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -79,12 +76,12 @@ def test_ablation_reserved_loans(benchmark, campaign, emit):
     assert on.instant_start_rate > 0.9 and off.instant_start_rate > 0.9
 
 
-def test_ablation_backfill(benchmark, campaign, emit):
+def test_ablation_backfill(benchmark, campaign, workers, emit):
     """EASY backfilling on/off under the hybrid mechanism."""
 
     def run():
-        on = _grid_row(campaign, campaign.sim)
-        off = _grid_row(campaign, replace(campaign.sim, backfill_depth=0))
+        on = _grid_row(campaign, workers)
+        off = _grid_row(campaign, workers, sim_overrides={"backfill_depth": 0})
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -103,12 +100,14 @@ def test_ablation_backfill(benchmark, campaign, emit):
     assert on.avg_turnaround_h <= off.avg_turnaround_h * 1.3
 
 
-def test_ablation_malleable_flexibility(benchmark, campaign, emit):
+def test_ablation_malleable_flexibility(benchmark, campaign, workers, emit):
     """Scheduler-chosen malleable start sizes vs rigid-like fixed sizes."""
 
     def run():
-        flex = _grid_row(campaign, replace(campaign.sim, flexible_malleable=True))
-        stiff = _grid_row(campaign, replace(campaign.sim, flexible_malleable=False))
+        flex = _grid_row(campaign, workers)
+        stiff = _grid_row(
+            campaign, workers, sim_overrides={"flexible_malleable": False}
+        )
         return flex, stiff
 
     flex, stiff = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -130,12 +129,12 @@ def test_ablation_malleable_flexibility(benchmark, campaign, emit):
     )
 
 
-def test_ablation_ordering_policy(benchmark, campaign, emit):
+def test_ablation_ordering_policy(benchmark, campaign, workers, emit):
     """The mechanisms compose with any queue-ordering policy (§III)."""
 
     def run():
         return {
-            name: _grid_row(campaign, replace(campaign.sim, policy=name))
+            name: _grid_row(campaign, workers, policy=(name,))
             for name in ("fcfs", "sjf", "ljf")
         }
 
@@ -156,14 +155,17 @@ def test_ablation_ordering_policy(benchmark, campaign, emit):
         assert s.instant_start_rate > 0.9
 
 
-def test_ablation_malleable_min_size(benchmark, campaign, emit):
+def test_ablation_malleable_min_size(benchmark, campaign, workers, emit):
     """Deeper shrinkability (smaller min sizes) gives SPAA more supply."""
 
     def run():
         out = {}
         for frac in (0.2, 0.5):
-            spec = replace(campaign.spec, malleable_min_size_frac=frac)
-            out[frac] = _grid_row(campaign, spec=spec)
+            out[frac] = _grid_row(
+                campaign,
+                workers,
+                spec_overrides={"malleable_min_size_frac": frac},
+            )
         return out
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

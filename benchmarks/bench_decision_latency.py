@@ -21,11 +21,12 @@ from repro.workload.theta import generate_trace
 
 
 def test_arrival_decision_latency(benchmark, campaign, emit):
-    jobs = generate_trace(campaign.spec, seed=2022)
+    cell = campaign.expand()[0]
+    jobs = generate_trace(cell.workload_spec(), seed=2022)
 
     def run():
         return Simulation(
-            jobs, campaign.sim, Mechanism.parse("CUP&SPAA")
+            jobs, cell.sim_config(), Mechanism.parse("CUP&SPAA")
         ).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -53,12 +54,13 @@ def test_simulator_event_throughput(benchmark, campaign):
     """End-to-end events/second of the full simulator (perf canary)."""
     from repro.workload.trace import clone_jobs
 
-    jobs = generate_trace(campaign.spec, seed=7)
+    cell = campaign.expand()[0]
+    jobs = generate_trace(cell.workload_spec(), seed=7)
 
     def run():
         # the simulator mutates jobs in place: fresh clones every round
         return Simulation(
-            clone_jobs(jobs), campaign.sim, Mechanism.parse("CUA&SPAA")
+            clone_jobs(jobs), cell.sim_config(), Mechanism.parse("CUA&SPAA")
         ).run()
 
     result = benchmark(run)

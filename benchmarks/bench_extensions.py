@@ -13,13 +13,17 @@ from dataclasses import replace
 from repro.core.mechanisms import Mechanism
 from repro.experiments.runner import run_mechanism_grid
 from repro.metrics.report import format_table
-from repro.sim.failures import FailureModel
-from repro.util.timeconst import DAY
 
 MECH = Mechanism.parse("CUA&SPAA")
 
 
-def test_failures_vs_checkpoint_frequency(benchmark, campaign, emit):
+def _mech_row(campaign, workers, **axes):
+    """CUA&SPAA averaged over the seeds, *axes* replaced."""
+    cspec = replace(campaign, mechanism=(MECH.name,), **axes)
+    return run_mechanism_grid(cspec, workers=workers)[MECH.name]
+
+
+def test_failures_vs_checkpoint_frequency(benchmark, campaign, workers, emit):
     """Lost compute vs checkpoint frequency, with failures injected.
 
     With an aggressive node MTBF (0.5 year) failures interrupt rigid jobs
@@ -27,19 +31,15 @@ def test_failures_vs_checkpoint_frequency(benchmark, campaign, emit):
     """
 
     def run():
-        out = {}
-        for mult in (0.5, 1.0, 2.0):
-            sim = replace(
-                campaign.sim,
-                checkpoint=campaign.sim.checkpoint.with_multiplier(mult),
-                failures=FailureModel(enabled=True, node_mtbf_s=0.5 * 365 * DAY),
+        return {
+            mult: _mech_row(
+                campaign,
+                workers,
+                checkpoint_multiplier=(mult,),
+                failure_mtbf_days=(0.5 * 365,),
             )
-            grid = run_mechanism_grid(
-                campaign.spec, [MECH], campaign.seeds(), sim=sim,
-                workers=campaign.workers,
-            )
-            out[mult] = grid[MECH.name]
-        return out
+            for mult in (0.5, 1.0, 2.0)
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
@@ -64,20 +64,14 @@ def test_failures_vs_checkpoint_frequency(benchmark, campaign, emit):
     assert rows[0.5].lost_compute_frac <= rows[2.0].lost_compute_frac + 1e-4
 
 
-def test_conservative_vs_easy(benchmark, campaign, emit):
+def test_conservative_vs_easy(benchmark, campaign, workers, emit):
     """The mechanisms on top of conservative instead of EASY backfilling."""
 
     def run():
-        easy = run_mechanism_grid(
-            campaign.spec, [MECH], campaign.seeds(),
-            sim=replace(campaign.sim, backfill_mode="easy"),
-            workers=campaign.workers,
-        )[MECH.name]
-        conservative = run_mechanism_grid(
-            campaign.spec, [MECH], campaign.seeds(),
-            sim=replace(campaign.sim, backfill_mode="conservative"),
-            workers=campaign.workers,
-        )[MECH.name]
+        easy = _mech_row(campaign, workers, backfill_mode=("easy",))
+        conservative = _mech_row(
+            campaign, workers, backfill_mode=("conservative",)
+        )
         return easy, conservative
 
     easy, conservative = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -100,19 +94,18 @@ def test_conservative_vs_easy(benchmark, campaign, emit):
     assert conservative.instant_start_rate > 0.9
 
 
-def test_noshow_sensitivity(benchmark, campaign, emit):
+def test_noshow_sensitivity(benchmark, campaign, workers, emit):
     """Phantom on-demand notices: reserved-then-released node cost."""
 
     def run():
-        out = {}
-        for frac in (0.0, 0.3):
-            spec = replace(campaign.spec, ondemand_noshow_frac=frac)
-            grid = run_mechanism_grid(
-                spec, [MECH], campaign.seeds(), sim=campaign.sim,
-                workers=campaign.workers,
+        return {
+            frac: _mech_row(
+                campaign,
+                workers,
+                spec_overrides={"ondemand_noshow_frac": frac},
             )
-            out[frac] = grid[MECH.name]
-        return out
+            for frac in (0.0, 0.3)
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(

@@ -12,13 +12,13 @@ from repro.experiments.figures import fig5_burstiness
 from repro.workload.ondemand import burstiness_cv
 
 
-def test_fig5(benchmark, campaign, emit):
+def test_fig5(benchmark, campaign, workers, emit):
     # burstiness needs a few months of weeks to be visible
-    config = replace(
-        campaign, spec=replace(campaign.spec, days=max(campaign.spec.days, 56))
-    )
+    cspec = replace(campaign, days=(max(campaign.days[0], 56),))
     out = benchmark.pedantic(
-        lambda: fig5_burstiness(config), rounds=1, iterations=1
+        lambda: fig5_burstiness(cspec, workers=workers),
+        rounds=1,
+        iterations=1,
     )
     emit("fig5_burstiness", out["text"])
     cvs = [burstiness_cv(counts) for counts in out["series"].values()]

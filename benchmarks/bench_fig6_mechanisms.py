@@ -13,9 +13,9 @@ import statistics
 from repro.experiments.figures import fig6_mechanisms
 
 
-def test_fig6(benchmark, campaign, emit):
+def test_fig6(benchmark, campaign, workers, emit):
     out = benchmark.pedantic(
-        lambda: fig6_mechanisms(campaign), rounds=1, iterations=1
+        lambda: fig6_mechanisms(campaign, workers=workers), rounds=1, iterations=1
     )
     emit("fig6_mechanisms", out["text"])
     sweep = out["sweep"]

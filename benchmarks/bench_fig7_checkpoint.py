@@ -14,9 +14,11 @@ from repro.experiments.figures import fig7_checkpointing
 MULTIPLIERS = (0.5, 1.0, 2.0)  # 200%, 100%, 50% of the optimal frequency
 
 
-def test_fig7(benchmark, campaign, emit):
+def test_fig7(benchmark, campaign, workers, emit):
     out = benchmark.pedantic(
-        lambda: fig7_checkpointing(campaign, multipliers=MULTIPLIERS),
+        lambda: fig7_checkpointing(
+            campaign, multipliers=MULTIPLIERS, workers=workers
+        ),
         rounds=1,
         iterations=1,
     )

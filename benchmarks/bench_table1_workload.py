@@ -22,11 +22,12 @@ def test_table1(benchmark, campaign, emit):
     assert s["min_job_size"] >= 128
     assert s["max_job_length_h"] <= 24.0
     # yearly-equivalent job count in the same decade as Theta's 37.3k
-    yearly = s["number_of_jobs"] * 365.0 / campaign.spec.days
+    yearly = s["number_of_jobs"] * 365.0 / campaign.days[0]
     assert 15_000 < yearly < 70_000
 
 
 def test_trace_generation_throughput(benchmark, campaign):
     """Generator speed: one multi-week Theta-scale trace per call."""
-    jobs = benchmark(lambda: generate_trace(campaign.spec, seed=1))
+    spec = campaign.expand()[0].workload_spec()
+    jobs = benchmark(lambda: generate_trace(spec, seed=1))
     assert len(jobs) > 100

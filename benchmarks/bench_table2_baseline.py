@@ -11,9 +11,9 @@ traces accumulate less queue depth than a full year.
 from repro.experiments.figures import table2_baseline
 
 
-def test_table2(benchmark, campaign, emit):
+def test_table2(benchmark, campaign, workers, emit):
     out = benchmark.pedantic(
-        lambda: table2_baseline(campaign), rounds=1, iterations=1
+        lambda: table2_baseline(campaign, workers=workers), rounds=1, iterations=1
     )
     emit("table2_baseline", out["text"])
     s = out["summary"]

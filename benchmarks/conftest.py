@@ -21,9 +21,9 @@ import pathlib
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.campaign.spec import CampaignSpec
+from repro.core.mechanisms import ALL_MECHANISMS
 from repro.perf.store import PerfStore
-from repro.workload.spec import theta_spec
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -54,13 +54,21 @@ def bench_workers() -> int:
 
 
 @pytest.fixture(scope="session")
-def campaign() -> ExperimentConfig:
-    """The standard benchmark campaign (Fig. 6 defaults, W5 mix)."""
-    return ExperimentConfig(
-        spec=theta_spec(days=bench_days()),
-        n_traces=bench_traces(),
-        workers=bench_workers(),
+def campaign() -> CampaignSpec:
+    """The standard benchmark campaign: the six mechanisms on the
+    Theta-scale W5 workload, one cell per trace seed."""
+    return CampaignSpec(
+        name="bench",
+        days=(bench_days(),),
+        mechanism=tuple(m.name for m in ALL_MECHANISMS),
+        seeds=tuple(2022 + i for i in range(bench_traces())),
     )
+
+
+@pytest.fixture(scope="session")
+def workers() -> int:
+    """Worker processes for the benchmark grids."""
+    return bench_workers()
 
 
 @pytest.fixture(scope="session")

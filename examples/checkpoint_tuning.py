@@ -18,7 +18,8 @@ Run:
 import argparse
 from dataclasses import replace
 
-from repro import Mechanism, SimConfig, theta_spec
+from repro import Mechanism
+from repro.campaign import CampaignSpec
 from repro.experiments.runner import run_mechanism_grid
 from repro.metrics.report import format_table
 
@@ -37,13 +38,17 @@ def main() -> None:
     args = parser.parse_args()
 
     mech = Mechanism.parse(args.mechanism)
-    spec = theta_spec(days=args.days)
-    seeds = list(range(args.traces))
+    cspec = CampaignSpec(
+        name="checkpoint-tuning",
+        days=(args.days,),
+        mechanism=(mech.name,),
+        seeds=tuple(range(args.traces)),
+    )
     rows = []
     for mult in args.multipliers:
-        sim = SimConfig()
-        sim = replace(sim, checkpoint=sim.checkpoint.with_multiplier(mult))
-        grid = run_mechanism_grid(spec, [mech], seeds, sim=sim)
+        grid = run_mechanism_grid(
+            replace(cspec, checkpoint_multiplier=(mult,))
+        )
         s = grid[mech.name]
         rows.append(
             [

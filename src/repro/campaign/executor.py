@@ -49,6 +49,7 @@ from repro.campaign.store import CellRecord, ResultStore
 from repro.experiments.runner import run_one
 from repro.jobs.job import JobType
 from repro.obs import enabled_obs, get_obs
+from repro.util.errors import ConfigurationError
 from repro.util.timeconst import WEEK
 from repro.workload.ondemand import burstiness_cv
 from repro.workload.spec import WorkloadSpec
@@ -484,6 +485,13 @@ def run_campaign(
     :func:`repro.campaign.distrib.run_fleet` — it shares this planner
     and store, adding cell leases and per-worker shards on top.
     """
+    for arg, value in (
+        ("workers", workers),
+        ("batch_size", batch_size),
+        ("max_inflight", max_inflight),
+    ):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{arg} must be >= 1, got {value}")
     say = progress or (lambda _msg: None)
     if store is None:
         # a campaign that owns its directory records its spec there (and

@@ -240,6 +240,11 @@ class CampaignCell:
         return Mechanism.parse(self.mechanism) if self.mechanism else None
 
 
+#: WorkloadSpec / SimConfig fields that a cell's axes set
+_SPEC_AXIS_FIELDS = ("days", "target_load", "system_size", "notice_mix")
+_SIM_AXIS_FIELDS = ("system_size", "backfill_mode", "policy", "policy_params")
+
+
 def _as_tuple(value: object) -> Tuple[Any, ...]:
     """Normalize a scalar-or-sequence axis value to a tuple."""
     if isinstance(value, (list, tuple)):
@@ -294,6 +299,11 @@ class CampaignSpec:
         for axis in self._AXES:
             if not getattr(self, axis):
                 raise ConfigurationError(f"axis {axis!r} must be non-empty")
+        if any(mtbf < 0 for mtbf in self.failure_mtbf_days):
+            raise ConfigurationError(
+                "failure_mtbf_days must be >= 0 (0 disables failures), got "
+                f"{self.failure_mtbf_days}"
+            )
         for mech in self.mechanism:
             if mech is not None:
                 Mechanism.parse(mech)  # raises ConfigurationError if bad
@@ -303,6 +313,18 @@ class CampaignSpec:
         # time, not fail every cell mid-fleet; values stay per-cell
         _check_override_names(WorkloadSpec, self.spec_overrides)
         _check_override_names(SimConfig, self.sim_overrides)
+        # an axis field set again by an override would let the workload
+        # and the simulator disagree (on the system size, say)
+        for overrides, axis_fields in (
+            (self.spec_overrides, _SPEC_AXIS_FIELDS),
+            (self.sim_overrides, _SIM_AXIS_FIELDS),
+        ):
+            for name in axis_fields:
+                if name in overrides:
+                    raise ConfigurationError(
+                        f"override {name!r} duplicates a campaign axis; "
+                        "set the axis instead"
+                    )
         for name, cls in (
             ("failures", FailureModel),
             ("checkpoint", CheckpointModel),

@@ -1,15 +1,15 @@
 """Experiment harness: one driver per paper table/figure.
 
-* :mod:`repro.experiments.config` — experiment-level configuration.
-* :mod:`repro.experiments.runner` — run one cell, or a (trace seed x
-  mechanism) grid through the campaign executor.
+* :mod:`repro.experiments.runner` — run one cell, or average a campaign
+  grid per mechanism over its trace seeds.
 * :mod:`repro.experiments.figures` — drivers named after the paper's
-  exhibits (``table1``, ``table2``, ``fig3`` ... ``fig7``) returning
-  structured results and rendering the same rows/series the paper reports.
-* :mod:`repro.experiments.cli` — ``repro-hybrid`` command-line front end.
+  exhibits (``table1``, ``table2``, ``fig3`` ... ``fig7``); each takes
+  the :class:`~repro.campaign.spec.CampaignSpec` it runs and returns
+  structured results plus the same rows/series the paper reports.
+* :mod:`repro.experiments.cli` — ``repro-hybrid`` command-line front end;
+  it turns the exhibit flags into that ``CampaignSpec``.
 """
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_mechanism_grid, run_one
 from repro.experiments.figures import (
     fig3_size_mix,
@@ -24,7 +24,6 @@ from repro.experiments.figures import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "run_mechanism_grid",
     "run_one",
     "headline_comparison",

@@ -55,51 +55,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
-from repro.experiments.config import ExperimentConfig
 from repro.experiments import figures
 from repro.sched.registry import policy_names
-from repro.sim.config import SimConfig
-from repro.sim.failures import FailureModel
-from repro.util.timeconst import DAY
-from repro.workload.spec import NOTICE_MIXES, theta_spec
+from repro.workload.spec import NOTICE_MIXES
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    spec = theta_spec(
-        days=args.days,
-        target_load=args.load,
-        system_size=args.nodes,
-        notice_mix=NOTICE_MIXES[args.mix],
-        ondemand_noshow_frac=args.noshow_frac,
-    )
-    failures = (
-        FailureModel(enabled=True, node_mtbf_s=args.failure_mtbf_days * DAY)
-        if args.failure_mtbf_days
-        else FailureModel.disabled()
-    )
-    sim = SimConfig(
-        system_size=args.nodes,
-        backfill_mode=args.backfill,
-        failures=failures,
-        policy=args.policy,
-    )
-    mechanisms: List[Mechanism] = (
+def _exhibit_spec(args: argparse.Namespace):
+    """The exhibit flags as the campaign grid the exhibits run; each grid
+    exhibit replaces the axes its figure sweeps."""
+    from repro.campaign.spec import CampaignSpec
+
+    mechanisms = (
         [Mechanism.parse(m) for m in args.mechanisms]
-        if getattr(args, "mechanisms", None)
-        else list(ALL_MECHANISMS)
+        if args.mechanisms
+        else ALL_MECHANISMS
     )
-    return ExperimentConfig(
-        spec=spec,
-        sim=sim,
-        mechanisms=mechanisms,
-        n_traces=args.traces,
-        base_seed=args.seed,
-        workers=args.workers,
+    cspec = CampaignSpec(
+        name=args.exhibit,
+        days=(args.days,),
+        target_load=(args.load,),
+        system_size=(args.nodes,),
+        notice_mix=(args.mix,),
+        mechanism=tuple(m.name for m in mechanisms),
+        backfill_mode=(args.backfill,),
+        failure_mtbf_days=(args.failure_mtbf_days,),
+        seeds=tuple(args.seed + i for i in range(args.traces)),
+        spec_overrides=(
+            {"ondemand_noshow_frac": args.noshow_frac}
+            if args.noshow_frac
+            else {}
+        ),
+        policy=(args.policy,),
     )
+    # a bad flag value fails here, not once in every cell of the grid
+    cell = cspec.expand()[0]
+    cell.workload_spec()
+    cell.sim_config()
+    return cspec
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -1125,23 +1120,26 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         print(out["text"])
         _write_exhibit_html(args, out)
         return 0
-    config = _build_config(args)
+    cspec = _exhibit_spec(args)
+    workers = args.workers
     if args.exhibit == "table1":
-        out = figures.table1_workload(config)
+        out = figures.table1_workload(cspec)
     elif args.exhibit == "table2":
-        out = figures.table2_baseline(config)
+        out = figures.table2_baseline(cspec, workers=workers)
     elif args.exhibit == "fig3":
-        out = figures.fig3_size_mix(config)
+        out = figures.fig3_size_mix(cspec)
     elif args.exhibit == "fig4":
-        out = figures.fig4_type_mix(config)
+        out = figures.fig4_type_mix(cspec)
     elif args.exhibit == "fig5":
-        out = figures.fig5_burstiness(config)
+        out = figures.fig5_burstiness(cspec, workers=workers)
     elif args.exhibit == "fig6":
-        out = figures.fig6_mechanisms(config)
+        out = figures.fig6_mechanisms(cspec, workers=workers)
     elif args.exhibit == "fig7":
-        out = figures.fig7_checkpointing(config, multipliers=args.multipliers)
+        out = figures.fig7_checkpointing(
+            cspec, multipliers=args.multipliers, workers=workers
+        )
     elif args.exhibit == "compare":
-        out = figures.headline_comparison(config)
+        out = figures.headline_comparison(cspec, workers=workers)
     else:  # pragma: no cover - argparse guards this
         raise AssertionError(args.exhibit)
     print(out["text"])

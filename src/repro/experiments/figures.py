@@ -4,6 +4,13 @@ Each function returns a dict with structured results plus a ``text`` key
 holding the rendered exhibit (the same rows/series the paper reports).
 The benchmark harness (benchmarks/) calls these and prints the text; the
 EXPERIMENTS.md paper-vs-measured record is produced the same way.
+
+Every driver takes the :class:`~repro.campaign.spec.CampaignSpec` it
+runs: the workload exhibits (Table I, Fig. 3/4) generate the traces of
+its first cell and its seeds; the grid exhibits replace the axes their
+figure sweeps (Fig. 6 the notice mix, Fig. 7 the checkpoint multiplier,
+Table II and the headline comparison the mechanism) and run the rest
+as given.
 """
 
 from __future__ import annotations
@@ -11,13 +18,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_mechanism_grid
+from repro.core.mechanisms import ALL_MECHANISMS
+from repro.experiments.runner import run_mechanism_grid, seed_means
 from repro.metrics.report import format_summary_rows, format_table
-from repro.metrics.summary import SummaryMetrics, average_summaries
+from repro.metrics.summary import SummaryMetrics
 from repro.workload.ondemand import burstiness_cv
-from repro.workload.spec import NOTICE_MIXES, NoticeMix, W1, W2, W3, W4, W5
+from repro.workload.spec import NOTICE_MIXES
 from repro.workload.theta import generate_trace
 from repro.workload.trace import (
     characterize_sizes,
@@ -25,19 +31,46 @@ from repro.workload.trace import (
     type_shares,
 )
 
-FIG6_MIXES: List[NoticeMix] = [W1, W2, W3, W4, W5]
+#: the Table III mixes Fig. 6 sweeps
+FIG6_MIXES: Sequence[str] = ("W1", "W2", "W3", "W4", "W5")
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.campaign.store import CellRecord
+    from repro.campaign.executor import CampaignRunResult
+    from repro.campaign.spec import CampaignSpec
+
+
+def _run_grid(
+    cspec: "CampaignSpec",
+    workers: int,
+    campaign_dir: Optional[str],
+    what: str,
+) -> "CampaignRunResult":
+    """Run *cspec* (cached in *campaign_dir* if given); raise on any
+    failed cell, since a partial seed average would silently skew the
+    exhibit (retry via the campaign CLI ``--retry-failed``)."""
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.store import ResultStore
+
+    store = ResultStore(campaign_dir) if campaign_dir else None
+    run = run_campaign(cspec, store=store, workers=workers)
+    if run.n_failed:
+        failed = [r for r in run.records if not r.ok]
+        raise RuntimeError(
+            f"{run.n_failed} {what} cells failed; first error:\n"
+            f"{failed[0].error}"
+        )
+    return run
 
 
 # ----------------------------------------------------------------------
 # Table I — workload summary
 # ----------------------------------------------------------------------
-def table1_workload(config: ExperimentConfig) -> Dict[str, object]:
-    """Table I: basic statistics of one generated trace."""
-    jobs = generate_trace(config.spec, seed=config.base_seed)
-    summary = table1_summary(jobs, config.spec.system_size)
+def table1_workload(cspec: "CampaignSpec") -> Dict[str, object]:
+    """Table I: basic statistics of the first cell's trace."""
+    cell = cspec.expand()[0]
+    spec = cell.workload_spec()
+    jobs = generate_trace(spec, seed=cell.seed)
+    summary = table1_summary(jobs, spec.system_size)
     rows = [[k, v] for k, v in summary.items()]
     text = format_table(
         ["field", "value"], rows, title="Table I — synthetic Theta workload"
@@ -48,10 +81,12 @@ def table1_workload(config: ExperimentConfig) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Fig. 3 — job count and core-hours by size range
 # ----------------------------------------------------------------------
-def fig3_size_mix(config: ExperimentConfig) -> Dict[str, object]:
+def fig3_size_mix(cspec: "CampaignSpec") -> Dict[str, object]:
     """Fig. 3: jobs (outer ring) and core-hours (inner ring) per size bucket."""
-    jobs = generate_trace(config.spec, seed=config.base_seed)
-    buckets = characterize_sizes(jobs, edges=config.spec.size_bucket_edges)
+    cell = cspec.expand()[0]
+    spec = cell.workload_spec()
+    jobs = generate_trace(spec, seed=cell.seed)
+    buckets = characterize_sizes(jobs, edges=spec.size_bucket_edges)
     total_jobs = sum(b[1] for b in buckets) or 1
     total_ch = sum(b[2] for b in buckets) or 1.0
     rows = [
@@ -69,11 +104,12 @@ def fig3_size_mix(config: ExperimentConfig) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Fig. 4 — job-type distribution across traces
 # ----------------------------------------------------------------------
-def fig4_type_mix(config: ExperimentConfig) -> Dict[str, object]:
-    """Fig. 4: per-trace shares of rigid / on-demand / malleable jobs."""
+def fig4_type_mix(cspec: "CampaignSpec") -> Dict[str, object]:
+    """Fig. 4: per-seed shares of rigid / on-demand / malleable jobs."""
+    spec = cspec.expand()[0].workload_spec()
     shares = []
-    for seed in config.seeds():
-        jobs = generate_trace(config.spec, seed=seed)
+    for seed in cspec.seeds:
+        jobs = generate_trace(spec, seed=seed)
         shares.append(type_shares(jobs))
     rows = [
         [f"trace-{i}", s["rigid"], s["ondemand"], s["malleable"]]
@@ -91,26 +127,19 @@ def fig4_type_mix(config: ExperimentConfig) -> Dict[str, object]:
 # Fig. 5 — weekly on-demand submissions (burstiness)
 # ----------------------------------------------------------------------
 def fig5_burstiness(
-    config: ExperimentConfig, campaign_dir: Optional[str] = None
+    cspec: "CampaignSpec",
+    workers: int = 1,
+    campaign_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Fig. 5: on-demand jobs per week for sample traces.
+    """Fig. 5: on-demand jobs per week for the first three seeds' traces.
 
     Runs as a ``kind="trace"`` campaign, so passing *campaign_dir*
     caches the per-seed workload characterizations across invocations.
     """
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.store import ResultStore
-
-    cspec = config.to_campaign_spec(name="fig5", kind="trace")
-    cspec = replace(cspec, mechanism=(None,), seeds=tuple(config.seeds()[:3]))
-    store = ResultStore(campaign_dir) if campaign_dir else None
-    run = run_campaign(cspec, store=store, workers=config.workers)
-    if run.n_failed:
-        failed = [r for r in run.records if not r.ok]
-        raise RuntimeError(
-            f"{run.n_failed} trace cells failed; first error:\n"
-            f"{failed[0].error}"
-        )
+    cspec = replace(
+        cspec, kind="trace", mechanism=(None,), seeds=cspec.seeds[:3]
+    )
+    run = _run_grid(cspec, workers, campaign_dir, "trace")
     series = {}
     for record in run.ok_records:
         payload = record.payload or {}
@@ -151,17 +180,16 @@ def fig5_burstiness(
 # ----------------------------------------------------------------------
 # Table II — baseline performance
 # ----------------------------------------------------------------------
-def table2_baseline(config: ExperimentConfig) -> Dict[str, object]:
+def table2_baseline(
+    cspec: "CampaignSpec", workers: int = 1
+) -> Dict[str, object]:
     """Table II: FCFS/EASY with no special treatment of any class."""
-    baseline_sim = replace(config.sim, flexible_malleable=False)
-    grid = run_mechanism_grid(
-        config.spec,
-        [None],
-        config.seeds(),
-        sim=baseline_sim,
-        workers=config.workers,
+    baseline = replace(
+        cspec,
+        mechanism=(None,),
+        sim_overrides={**cspec.sim_overrides, "flexible_malleable": False},
     )
-    s = grid[None]
+    s = run_mechanism_grid(baseline, workers=workers)[None]
     rows = [
         ["Avg. Turnaround", f"{s.avg_turnaround_h:.1f} hours"],
         ["System Util.", f"{100 * s.system_utilization:.2f}%"],
@@ -193,83 +221,32 @@ def table3_mixes() -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Fig. 6 — the headline grid: mechanisms x mixes
 # ----------------------------------------------------------------------
-def _mix_matches(config_mix: object, mix: NoticeMix) -> bool:
-    if isinstance(config_mix, str):
-        return config_mix == mix.name
-    if isinstance(config_mix, dict):
-        return config_mix.get("name") == mix.name
-    return False
-
-
-def _sweep_from_records(
-    records: Sequence["CellRecord"],
-    mixes: Sequence[NoticeMix],
-    mechanisms: Sequence[Optional[Mechanism]],
-) -> Dict[str, Dict[Optional[str], SummaryMetrics]]:
-    """Reassemble campaign records into the Fig. 6 sweep shape."""
-    out: Dict[str, Dict[Optional[str], SummaryMetrics]] = {}
-    for mix in mixes:
-        per_mech: Dict[Optional[str], SummaryMetrics] = {}
-        for m in mechanisms:
-            name = m.name if m else None
-            group = [
-                r.summary_metrics()
-                for r in records
-                if r.ok
-                and r.config["mechanism"] == name
-                and _mix_matches(r.config["notice_mix"], mix)
-            ]
-            if not group:
-                failed = [
-                    r
-                    for r in records
-                    if not r.ok
-                    and r.config["mechanism"] == name
-                    and _mix_matches(r.config["notice_mix"], mix)
-                ]
-                raise RuntimeError(
-                    f"no completed cells for mix={mix.name} "
-                    f"mechanism={name}; first error:\n"
-                    f"{failed[0].error if failed else '(no cells at all)'}"
-                )
-            per_mech[name] = average_summaries(group)
-        out[mix.name] = per_mech
-    return out
-
 def fig6_mechanisms(
-    config: ExperimentConfig,
-    mixes: Optional[Sequence[NoticeMix]] = None,
+    cspec: "CampaignSpec",
+    mixes: Sequence[str] = FIG6_MIXES,
+    workers: int = 1,
     campaign_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Fig. 6: all six mechanisms under the five Table III mixes.
+    """Fig. 6: the mechanisms of *cspec* under the Table III *mixes*.
 
     The grid runs as a campaign: with *campaign_dir* set, completed
     (mix x mechanism x seed) cells are cached on disk and reused by any
     later invocation — including partial overlaps such as a rerun with
     more seeds or extra mechanisms.
     """
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.store import ResultStore
-
-    mixes = list(mixes) if mixes is not None else FIG6_MIXES
-    cspec = config.to_campaign_spec(name="fig6", mixes=mixes)
-    store = ResultStore(campaign_dir) if campaign_dir else None
-    run = run_campaign(cspec, store=store, workers=config.workers)
-    if run.n_failed:
-        # a partial seed average would silently skew the figure; surface
-        # the failure instead (retry via the campaign CLI --retry-failed)
-        failed = [r for r in run.records if not r.ok]
-        raise RuntimeError(
-            f"{run.n_failed} fig6 cells failed; first error:\n"
-            f"{failed[0].error}"
-        )
-    sweep = _sweep_from_records(run.records, mixes, config.mechanisms)
+    cspec = replace(cspec, notice_mix=tuple(mixes))
+    run = _run_grid(cspec, workers, campaign_dir, "fig6")
+    means = seed_means(run.records, ("notice_mix", "mechanism"))
+    sweep: Dict[str, Dict[Optional[str], SummaryMetrics]] = {
+        mix: {m: means[(mix, m or "baseline")] for m in cspec.mechanism}
+        for mix in mixes
+    }
     parts = [table3_mixes()["text"], ""]
     for mix in mixes:
         parts.append(
             format_summary_rows(
-                list(sweep[mix.name].values()),
-                title=f"Fig. 6 — workload {mix.name}",
+                list(sweep[mix].values()),
+                title=f"Fig. 6 — workload {mix}",
             )
         )
         parts.append("")
@@ -285,8 +262,9 @@ def fig6_mechanisms(
 # Fig. 7 — checkpoint-frequency sensitivity
 # ----------------------------------------------------------------------
 def fig7_checkpointing(
-    config: ExperimentConfig,
+    cspec: "CampaignSpec",
     multipliers: Sequence[float] = (0.5, 1.0, 2.0),
+    workers: int = 1,
     campaign_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Fig. 7: the Fig. 6 metrics as the checkpoint interval is scaled.
@@ -297,34 +275,17 @@ def fig7_checkpointing(
     (multiplier x mechanism x seed) cell is cached on disk — rerunning
     with an extra multiplier only computes the new column.
     """
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.store import ResultStore
-
-    cspec = config.to_campaign_spec(name="fig7")
     cspec = replace(
-        cspec,
-        checkpoint_multiplier=tuple(float(m) for m in multipliers),
+        cspec, checkpoint_multiplier=tuple(float(m) for m in multipliers)
     )
-    store = ResultStore(campaign_dir) if campaign_dir else None
-    run = run_campaign(cspec, store=store, workers=config.workers)
-    if run.n_failed:
-        failed = [r for r in run.records if not r.ok]
-        raise RuntimeError(
-            f"{run.n_failed} fig7 cells failed; first error:\n"
-            f"{failed[0].error}"
-        )
+    run = _run_grid(cspec, workers, campaign_dir, "fig7")
+    means = seed_means(run.records, ("checkpoint_multiplier", "mechanism"))
     results: Dict[float, Dict[Optional[str], SummaryMetrics]] = {}
     parts = []
     for mult in multipliers:
-        grid: Dict[Optional[str], SummaryMetrics] = {}
-        for m in config.mechanisms:
-            group = [
-                r.summary_metrics()
-                for r in run.ok_records
-                if r.config["mechanism"] == m.name
-                and float(r.config["checkpoint_multiplier"]) == float(mult)
-            ]
-            grid[m.name] = average_summaries(group)
+        grid = {
+            m: means[(float(mult), m or "baseline")] for m in cspec.mechanism
+        }
         results[mult] = grid
         parts.append(
             format_summary_rows(
@@ -413,15 +374,13 @@ def _grid_charts(
 # ----------------------------------------------------------------------
 # Convenience: the full headline comparison at the default mix
 # ----------------------------------------------------------------------
-def headline_comparison(config: ExperimentConfig) -> Dict[str, object]:
-    """Baseline + all six mechanisms at the spec's default mix (W5)."""
-    mechanisms: List[Optional[Mechanism]] = [None, *ALL_MECHANISMS]
+def headline_comparison(
+    cspec: "CampaignSpec", workers: int = 1
+) -> Dict[str, object]:
+    """Baseline + all six mechanisms on the rest of *cspec*'s grid."""
+    mechanisms = (None, *(m.name for m in ALL_MECHANISMS))
     grid = run_mechanism_grid(
-        config.spec,
-        mechanisms,
-        config.seeds(),
-        sim=config.sim,
-        workers=config.workers,
+        replace(cspec, mechanism=mechanisms), workers=workers
     )
     text = format_summary_rows(
         list(grid.values()), title="Baseline vs. the six mechanisms"

@@ -4,17 +4,16 @@
 seed, mechanism) triple is a complete description of a cell — which
 lets the campaign engine ship cells to worker processes as plain
 configs and makes every cell reproducible from the command line.
-:func:`run_mechanism_grid` averages such cells over seeds; it runs them
-through the campaign executor like every other grid.
+:func:`run_mechanism_grid` runs a campaign grid through the campaign
+executor and averages each mechanism's cells over the trace seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.mechanisms import Mechanism
-from repro.experiments.config import ExperimentConfig
 from repro.jobs.job import Job
 from repro.metrics.summary import SummaryMetrics, average_summaries, summarize
 from repro.sim.config import SimConfig
@@ -22,6 +21,10 @@ from repro.sim.simulator import Simulation
 from repro.workload.spec import WorkloadSpec
 from repro.workload.theta import stream_jobs_from_rows
 from repro.workload.trace_cache import get_trace_cache
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.store import CellRecord
 
 
 def run_one(
@@ -63,50 +66,48 @@ def run_one(
     return summarize(result, instant_threshold_s=sim.instant_threshold_s)
 
 
-def run_mechanism_grid(
-    spec: WorkloadSpec,
-    mechanisms: Sequence[Optional[Mechanism]],
-    seeds: Sequence[int],
-    sim: Optional[SimConfig] = None,
-    workers: int = 1,
-) -> Dict[Optional[str], SummaryMetrics]:
-    """Average each mechanism over the trace seeds.
+def seed_means(
+    records: Sequence["CellRecord"], by: Sequence[str]
+) -> Dict[Tuple[object, ...], SummaryMetrics]:
+    """Average the ok *records* within each group of equal *by* fields.
 
-    ``None`` in *mechanisms* runs the baseline.  Returns
-    ``{mechanism_name_or_None: averaged summary}`` preserving input
-    order; each average folds the seeds in the order given.  The cells
-    run through :func:`~repro.campaign.executor.run_campaign` on an
-    in-memory store.  A failed cell drops out of its mechanism's
-    average; a mechanism whose every cell failed raises
-    ``RuntimeError``.
+    Groups are keyed as :func:`~repro.campaign.report.group_records`
+    keys them (a ``None`` mechanism reads ``"baseline"``); each average
+    folds its records in the order given, so a run's expansion-ordered
+    records average their seeds in axis order.
+    """
+    from repro.campaign.report import group_records
+
+    return {
+        key: average_summaries([r.summary_metrics() for r in group])
+        for key, group in group_records(records, by).items()
+    }
+
+
+def run_mechanism_grid(
+    cspec: "CampaignSpec", workers: int = 1
+) -> Dict[Optional[str], SummaryMetrics]:
+    """Run *cspec* and average each mechanism over its cells.
+
+    Returns ``{mechanism_name_or_None: averaged summary}`` in
+    ``cspec.mechanism`` order (``None`` is the baseline); each average
+    folds the seeds in axis order.  The cells run through
+    :func:`~repro.campaign.executor.run_campaign` on an in-memory store.
+    A failed cell drops out of its mechanism's average; a mechanism
+    whose every cell failed raises ``RuntimeError``.
     """
     from repro.campaign.executor import run_campaign
 
-    sim = sim or SimConfig(system_size=spec.system_size)
-    config = ExperimentConfig(
-        spec=spec,
-        sim=sim,
-        mechanisms=[m for m in mechanisms if m is not None],
-        workers=workers,
-    )
-    cspec = config.to_campaign_spec(
-        name="mechanism-grid", include_baseline=None in mechanisms
-    )
-    cspec = replace(cspec, seeds=tuple(seeds))
     run = run_campaign(cspec, workers=workers)
-    by_key = {r.key: r for r in run.records}
-    cells: Dict[Optional[str], list] = {}
-    for cell in cspec.expand():  # mechanism-major, seeds in order
-        cells.setdefault(cell.mechanism, []).append(by_key[cell.key()])
+    means = seed_means(run.records, ("mechanism",))
     out: Dict[Optional[str], SummaryMetrics] = {}
-    for m in mechanisms:
-        name = m.name if m else None
-        records = cells[name]
-        ok = [r.summary_metrics() for r in records if r.ok]
-        if not ok:
+    for name in cspec.mechanism:
+        mean = means.get((name or "baseline",))
+        if mean is None:
+            failed = [r for r in run.records if r.config["mechanism"] == name]
             raise RuntimeError(
-                f"all {len(records)} cells failed for mechanism={name}; "
-                f"first error:\n{records[0].error}"
+                f"all {len(failed)} cells failed for mechanism={name}; "
+                f"first error:\n{failed[0].error}"
             )
-        out[name] = average_summaries(ok)
+        out[name] = mean
     return out

@@ -1,9 +1,9 @@
 """Structured scheduler decision log (opt-in).
 
 Production schedulers keep an auditable event log; so does this
-simulator when ``SimConfig(log_decisions=True)``.  Every lifecycle
-decision — start, finish, preemption (with reason), shrink, expand,
-reservation create/release, lease settlement — is appended as a
+simulator when ``SimConfig(log_decisions=True)``.  Every job lifecycle
+decision — submit, advance notice, start, finish, preemption (with
+reason), node failure, shrink, expand — is appended as a
 :class:`LogEntry`.  The log is the raw material for the Gantt-style
 analyses in `repro.metrics.breakdown` and for debugging mechanism
 behaviour on a specific trace ("why was job 17 preempted at 09:12?").
@@ -32,9 +32,6 @@ class LogKind(enum.Enum):
     FAILURE = "failure"
     SHRINK = "shrink"
     EXPAND = "expand"
-    RESERVE = "reserve"
-    RESERVATION_RELEASED = "reservation_released"
-    LEASE_RETURN = "lease_return"
 
 
 @dataclass(frozen=True)

@@ -73,18 +73,17 @@ class JobRecord:
 
     The record is created when the job enters the in-flight window and
     dropped when it retires; while the job runs, the same object sits in
-    ``Simulation.running`` and serves as the coordinator's
-    ``RunningView``.  It holds the only copy of the job's allocation.
+    ``Simulation.running``.  Its execution model holds the only copy of
+    the job's allocation (``execution.nodes``) and serves as the
+    coordinator's ``RunningView``.
     """
 
-    __slots__ = ("job", "execution", "nodes", "epoch", "started_at", "memo")
+    __slots__ = ("job", "execution", "epoch", "started_at", "memo")
 
     def __init__(self, job: Job, execution: Execution) -> None:
         self.job = job
         #: the job's execution model, kept across preemptions
         self.execution = execution
-        #: the allocation while running
-        self.nodes = 0
         #: bumped on start, preemption and resize: finish and failure
         #: events carry the epoch they were pushed under, so stale ones
         #: are recognised and dropped
@@ -94,15 +93,6 @@ class JobRecord:
         #: ``(nodes, predicted wall)`` while queued; dropped at start
         #: (see ``Simulation._predict_wall``)
         self.memo: Optional[Tuple[int, float]] = None
-
-    def predicted_finish(self) -> float:
-        return self.execution.predicted_finish()
-
-    def preemption_loss(self, t: float) -> float:
-        return self.execution.preemption_loss(t)
-
-    def last_checkpoint_completion_at_or_before(self, t: float) -> Optional[float]:
-        return self.execution.last_checkpoint_completion_at_or_before(t)
 
 
 @dataclass(frozen=True)
@@ -431,8 +421,8 @@ class Simulation:
         """Free nodes not held by any reservation."""
         return self.cluster.free - self.coordinator.book.total_held
 
-    def running_views(self) -> List[JobRecord]:
-        return list(self.running.values())
+    def running_views(self) -> List[Execution]:
+        return [rec.execution for rec in self.running.values()]
 
     def lookup_job(self, job_id: int) -> Optional[Job]:
         """The in-flight job with this id, or ``None`` once retired.
@@ -492,7 +482,6 @@ class Simulation:
                 self.coordinator.book.loan_out(res, job_id, k)
         ex = rec.execution
         ex.start_segment(t, nodes)
-        rec.nodes = nodes
         rec.epoch += 1
         rec.started_at = t
         self.running[job_id] = rec
@@ -566,7 +555,7 @@ class Simulation:
         job.set_state(JobState.QUEUED)
         self.queue.add(job)
         rj.epoch += 1
-        released = rj.nodes
+        released = rj.execution.nodes
         self.cluster.release(released)
         self.log.add(
             self.now, LogKind.PREEMPT, job_id, nodes=released, detail=reason
@@ -580,10 +569,10 @@ class Simulation:
             raise SimulationError(f"shrink of non-running job {job_id}")
         if not isinstance(rj.execution, MalleableExecution):
             raise SimulationError(f"shrink of non-malleable job {job_id}")
-        new_nodes = rj.nodes - take
+        old_nodes = rj.execution.nodes
+        new_nodes = old_nodes - take
         rj.execution.resize(self.now, new_nodes)
-        self.cluster.resize(rj.nodes, new_nodes)
-        rj.nodes = new_nodes
+        self.cluster.resize(old_nodes, new_nodes)
         rj.job.stats.shrinks += 1
         self._reschedule_finish(rj)
         self.log.add(self.now, LogKind.SHRINK, job_id, nodes=take)
@@ -596,12 +585,12 @@ class Simulation:
             raise SimulationError(f"expand of non-running job {job_id}")
         if not isinstance(rj.execution, MalleableExecution):
             raise SimulationError(f"expand of non-malleable job {job_id}")
-        new_nodes = min(rj.job.max_size, rj.nodes + give)
-        if new_nodes == rj.nodes:
+        old_nodes = rj.execution.nodes
+        new_nodes = min(rj.job.max_size, old_nodes + give)
+        if new_nodes == old_nodes:
             return 0
         rj.execution.resize(self.now, new_nodes)
-        grown = self.cluster.resize(rj.nodes, new_nodes)
-        rj.nodes = new_nodes
+        grown = self.cluster.resize(old_nodes, new_nodes)
         rj.job.stats.expands += 1
         self._reschedule_finish(rj)
         self.log.add(self.now, LogKind.EXPAND, job_id, nodes=grown)
@@ -611,11 +600,11 @@ class Simulation:
         rj.epoch += 1
         self._sched_dirty = True
         self._c_dirty["resize"].inc()
-        self.timeline.set_block(rj.job.job_id, rj.predicted_finish(), rj.nodes)
+        ex = rj.execution
+        self.timeline.set_block(rj.job.job_id, ex.predicted_finish(), ex.nodes)
         self._c_timeline_upserts.inc()
         self.equeue.push(
-            rj.execution.finish_time(), EventType.JOB_FINISH,
-            rj.job.job_id, rj.epoch,
+            ex.finish_time(), EventType.JOB_FINISH, rj.job.job_id, rj.epoch
         )
         # Redraw the failure gap for the new epoch; the exponential is
         # memoryless, so a fresh draw is statistically equivalent.
@@ -630,7 +619,7 @@ class Simulation:
             self._failure_rng = RngStreams(
                 self.config.failure_seed
             ).get("failures")
-        gap = fm.draw_time_to_failure(rj.nodes, self._failure_rng)
+        gap = fm.draw_time_to_failure(rj.execution.nodes, self._failure_rng)
         at = self.now + gap
         if at < rj.execution.finish_time() - EPS:
             self.equeue.push(
@@ -683,7 +672,7 @@ class Simulation:
         del self.running[job_id]
         job.set_state(JobState.COMPLETED)
         job.stats.end_time = now
-        released = rj.nodes
+        released = rj.execution.nodes
         self.cluster.release(released)
         self.log.add(now, LogKind.FINISH, job_id, nodes=released)
         self.metrics.observe_finished(job)
@@ -711,11 +700,12 @@ class Simulation:
         st = rj.job.stats
         self._fold_segment(rj, rj.execution.preempt(self.now), preempted=True)
         st.failures += 1
-        rj.execution.start_segment(self.now, rj.nodes)
+        ex = rj.execution
+        ex.start_segment(self.now, ex.nodes)
         rj.started_at = self.now
-        st.segment_sizes.append(rj.nodes)
+        st.segment_sizes.append(ex.nodes)
         self._reschedule_finish(rj)
-        self.log.add(self.now, LogKind.FAILURE, job_id, nodes=rj.nodes)
+        self.log.add(self.now, LogKind.FAILURE, job_id, nodes=ex.nodes)
 
     def _handle_timeout(self, od_id: int, _aux: int = 0) -> None:
         self.coordinator.on_reservation_timeout(od_id)
@@ -873,7 +863,7 @@ class Simulation:
                 raise SimulationError(
                     f"job {job_id} in running set but state {rj.job.state}"
                 )
-        allocated = sum(rj.nodes for rj in self.running.values())
+        allocated = sum(rj.execution.nodes for rj in self.running.values())
         if self.cluster.free + allocated != self.cluster.total:
             raise SimulationError(
                 f"node conservation broken: {allocated} allocated + "
@@ -898,7 +888,7 @@ class Simulation:
             )
         self.timeline.validate_against(
             {
-                job_id: (rj.predicted_finish(), rj.nodes)
+                job_id: (rj.execution.predicted_finish(), rj.execution.nodes)
                 for job_id, rj in self.running.items()
             }
         )

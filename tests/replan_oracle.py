@@ -39,7 +39,7 @@ class FullReplanSimulation(Simulation):
         self, usable: int, active: Sequence[Reservation]
     ) -> ProfileView:
         blocks = [
-            (rj.predicted_finish(), rj.nodes) for rj in self.running.values()
+            (ex.predicted_finish(), ex.nodes) for ex in self.running_views()
         ]
         blocks.extend(self._reservation_blocks(active))
         return ProfileView.from_blocks(self.now, usable, blocks)

@@ -15,10 +15,7 @@ from repro.campaign import (
     status_text,
 )
 from repro.experiments.cli import main as cli_main
-from repro.experiments.config import ExperimentConfig
-from repro.sim.config import SimConfig
 from repro.util.errors import ConfigurationError
-from repro.workload.spec import theta_spec
 
 #: small-but-real grid: 2 mechanisms x 2 seeds on a tiny machine
 SMALL = {
@@ -440,48 +437,36 @@ class TestTraceFileAxis:
 
 
 class TestFig7Campaign:
-    def config(self):
-        from repro.core.mechanisms import ALL_MECHANISMS
-
-        return ExperimentConfig(
-            spec=theta_spec(days=2, system_size=512, target_load=0.6),
-            sim=SimConfig(system_size=512),
-            mechanisms=[ALL_MECHANISMS[0]],
-            n_traces=1,
-        )
+    def cspec(self):
+        return small_spec(mechanism=["N&PAA"], seeds=[2022])
 
     def test_fig7_runs_on_campaign_engine(self, tmp_path):
+        from dataclasses import replace as dreplace
+
         from repro.experiments import figures
 
-        config = self.config()
+        cspec = self.cspec()
         out = figures.fig7_checkpointing(
-            config, multipliers=(0.5, 2.0), campaign_dir=tmp_path / "f7"
+            cspec, multipliers=(0.5, 2.0), campaign_dir=tmp_path / "f7"
         )
         assert set(out["results"]) == {0.5, 2.0}
         # a second invocation is pure cache hits
-        cspec = config.to_campaign_spec(name="fig7")
-        from dataclasses import replace as dreplace
-
         cspec = dreplace(cspec, checkpoint_multiplier=(0.5, 2.0))
-        again = run_campaign(cspec, directory=tmp_path / "f7", store=ResultStore(tmp_path / "f7"))
+        again = run_campaign(cspec, store=ResultStore(tmp_path / "f7"))
         assert again.n_ran == 0 and again.n_cached == again.n_total == 2
 
     def test_fig7_multiplier_axis_beats_checkpoint_override(self):
         """The checkpoint_multiplier axis scales even when sim_overrides
         carries the other checkpoint knobs."""
-        from dataclasses import replace as dreplace
-
-        from repro.jobs.checkpoint import CheckpointModel
-
-        config = self.config()
-        config = config.with_sim(
-            dreplace(
-                config.sim,
-                checkpoint=CheckpointModel(min_interval_s=120.0),
-            )
+        cspec = small_spec(
+            checkpoint_multiplier=[2.0],
+            sim_overrides={
+                "checkpoint": {
+                    "interval_multiplier": 1.0,
+                    "min_interval_s": 120.0,
+                }
+            },
         )
-        cspec = config.to_campaign_spec(name="x")
-        cspec = dreplace(cspec, checkpoint_multiplier=(2.0,))
         sim = cspec.expand()[0].sim_config()
         assert sim.checkpoint.interval_multiplier == 2.0
         assert sim.checkpoint.min_interval_s == 120.0
@@ -523,22 +508,15 @@ class TestReport:
 
     def test_fig6_raises_on_failed_cells(self, monkeypatch):
         import repro.campaign.executor as executor_mod
-        from repro.core.mechanisms import ALL_MECHANISMS
         from repro.experiments import figures
-        from repro.workload.spec import W5
 
         def boom(*args, **kwargs):
             raise ValueError("boom")
 
         monkeypatch.setattr(executor_mod, "run_one", boom)
-        config = ExperimentConfig(
-            spec=theta_spec(days=2, system_size=512, target_load=0.6),
-            sim=SimConfig(system_size=512),
-            mechanisms=[ALL_MECHANISMS[0]],
-            n_traces=1,
-        )
+        cspec = small_spec(mechanism=["N&PAA"], seeds=[2022])
         with pytest.raises(RuntimeError, match="cells failed"):
-            figures.fig6_mechanisms(config, mixes=[W5])
+            figures.fig6_mechanisms(cspec, mixes=["W5"])
 
     def test_diff_no_overlap(self, tmp_path):
         run_campaign(small_spec(), directory=tmp_path / "a")
@@ -552,38 +530,20 @@ class TestReport:
         assert diff_text(a, b)
 
 
-class TestExperimentConfigBridge:
-    def test_to_campaign_spec_round_trips_overrides(self):
-        config = ExperimentConfig(
-            spec=theta_spec(
-                days=2, system_size=512, target_load=0.6, n_projects=13
-            ),
-            sim=SimConfig(system_size=512, allow_reserved_loans=False),
-            n_traces=2,
-        )
-        cspec = config.to_campaign_spec(name="bridge")
-        cell = cspec.expand()[0]
-        assert cell.workload_spec() == config.spec
-        assert cell.sim_config() == config.sim
-
+class TestFigureCampaigns:
     def test_fig6_runs_on_campaign_engine(self, tmp_path):
-        from repro.core.mechanisms import ALL_MECHANISMS
-        from repro.experiments import figures
-        from repro.workload.spec import W5
+        from dataclasses import replace as dreplace
 
-        config = ExperimentConfig(
-            spec=theta_spec(days=2, system_size=512, target_load=0.6),
-            sim=SimConfig(system_size=512),
-            mechanisms=[ALL_MECHANISMS[0]],
-            n_traces=1,
-        )
+        from repro.experiments import figures
+
+        cspec = small_spec(mechanism=["N&PAA"], seeds=[2022])
         out = figures.fig6_mechanisms(
-            config, mixes=[W5], campaign_dir=tmp_path / "fig6"
+            cspec, mixes=["W5"], campaign_dir=tmp_path / "fig6"
         )
         assert "W5" in out["sweep"]
         # second invocation is served from the store
         result = run_campaign(
-            config.to_campaign_spec(name="fig6", mixes=[W5]),
+            dreplace(cspec, notice_mix=("W5",)),
             directory=tmp_path / "fig6",
         )
         assert result.n_ran == 0 and result.n_cached == result.n_total
@@ -591,13 +551,27 @@ class TestExperimentConfigBridge:
     def test_fig5_runs_on_campaign_engine(self, tmp_path):
         from repro.experiments import figures
 
-        config = ExperimentConfig(
-            spec=theta_spec(days=2, system_size=512, target_load=0.6),
-            sim=SimConfig(system_size=512),
-            n_traces=2,
-        )
-        out = figures.fig5_burstiness(config, campaign_dir=tmp_path / "f5")
-        assert set(out["series"]) == set(config.seeds()[:3])
+        cspec = small_spec(seeds=[2022, 2023])
+        out = figures.fig5_burstiness(cspec, campaign_dir=tmp_path / "f5")
+        assert set(out["series"]) == {2022, 2023}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"workers": 0},
+        {"workers": 2, "batch_size": -1},
+        {"workers": 2, "max_inflight": -1},
+    ],
+    ids=["workers", "batch_size", "max_inflight"],
+)
+def test_run_campaign_rejects_bad_worker_settings(kwargs):
+    """A setting below 1 fails before any cell runs, naming the argument
+    (``workers=0`` used to run serially, a negative batch or window to
+    run no cell at all)."""
+    name = list(kwargs)[-1]
+    with pytest.raises(ConfigurationError, match=f"{name} must be >= 1"):
+        run_campaign(small_spec(), **kwargs)
 
 
 class TestCampaignCli:

@@ -290,17 +290,14 @@ class TestExhibitHtml:
         assert doc.count(".viz-surface") == 1
 
     def test_fig5_driver_emits_chart(self):
-        from repro.experiments.config import ExperimentConfig
+        from repro.campaign.spec import CampaignSpec
         from repro.experiments.figures import fig5_burstiness
-        from repro.sim.config import SimConfig
-        from repro.workload.spec import theta_spec
 
-        config = ExperimentConfig(
-            spec=theta_spec(days=2, system_size=512, target_load=0.6),
-            sim=SimConfig(system_size=512),
-            n_traces=2,
+        cspec = CampaignSpec(
+            days=(2.0,), target_load=(0.6,), system_size=(512,),
+            seeds=(2022, 2023),
         )
-        out = fig5_burstiness(config)
+        out = fig5_burstiness(cspec)
         assert out["charts"], "fig5 should emit an SVG chart"
         heading, svg = out["charts"][0]
         assert "<svg" in svg and "seed-" in svg

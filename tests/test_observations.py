@@ -10,10 +10,9 @@ import statistics
 
 import pytest
 
+from repro.campaign.spec import CampaignSpec
 from repro.core.mechanisms import ALL_MECHANISMS
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_mechanism_grid
-from repro.workload.spec import theta_spec
 
 SPAA_NAMES = ["N&SPAA", "CUA&SPAA", "CUP&SPAA"]
 PAA_NAMES = ["N&PAA", "CUA&PAA", "CUP&PAA"]
@@ -22,16 +21,14 @@ PAA_NAMES = ["N&PAA", "CUA&PAA", "CUP&PAA"]
 @pytest.fixture(scope="module")
 def grid():
     """Baseline + six mechanisms, averaged over two 14-day traces."""
-    config = ExperimentConfig(
-        spec=theta_spec(days=14, target_load=0.82),
-        n_traces=2,
-        base_seed=2022,
-    )
     return run_mechanism_grid(
-        config.spec,
-        [None, *ALL_MECHANISMS],
-        config.seeds(),
-        sim=config.sim,
+        CampaignSpec(
+            name="observations",
+            days=(14.0,),
+            target_load=(0.82,),
+            mechanism=(None, *(m.name for m in ALL_MECHANISMS)),
+            seeds=(2022, 2023),
+        )
     )
 
 

@@ -493,28 +493,3 @@ class TestConfigFailFast:
         with pytest.raises(SystemExit):
             make_parser().parse_args(["fig5", "--policy", "typo"])
         assert "prb_ewt" in capsys.readouterr().err
-
-    def test_experiment_config_policy_travels_to_campaign(self):
-        from repro.experiments.config import ExperimentConfig
-
-        config = ExperimentConfig.quick(days=2.0, n_traces=1)
-        tuned = config.with_sim(
-            SimConfig(
-                **{
-                    **config.sim.__dict__,
-                    "policy": "score",
-                    "policy_params": {"size_weight": 1.0},
-                }
-            )
-        )
-        spec = tuned.to_campaign_spec("t")
-        assert spec.policy == ("score",)
-        assert spec.policy_params == {"score": {"size_weight": 1.0}}
-        # policy rides the axis, not the override dict: overrides stay
-        # hash-compatible with pre-axis campaigns
-        assert "policy" not in spec.sim_overrides
-        assert "policy_params" not in spec.sim_overrides
-        cells = spec.expand()
-        assert cells and all(c.policy == "score" for c in cells)
-        assert cells[0].sim_config().policy == "score"
-        assert cells[0].sim_config().policy_params == {"size_weight": 1.0}

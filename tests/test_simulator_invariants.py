@@ -287,10 +287,10 @@ def _one_running_job(job_type=JobType.MALLEABLE):
 
 
 def test_validate_state_checks_node_conservation():
-    """A running record holds the only copy of its allocation; the
-    cluster's free pool must account for every node of it."""
+    """A running job's execution model holds the only copy of its
+    allocation; the cluster's free pool must account for every node of it."""
     sim, _ = _one_running_job()
-    sim.running[0].nodes += 1
+    sim.running[0].execution.nodes += 1
     with pytest.raises(SimulationError, match="node conservation"):
         sim.validate_state()
 
@@ -331,6 +331,6 @@ def test_resize_of_running_rigid_job_refused():
     for resize in (sim.shrink_running_malleable, sim.expand_running_malleable):
         with pytest.raises(SimulationError, match="non-malleable job 0"):
             resize(0, 4)
-    assert sim.running[0].nodes == 16
+    assert sim.running[0].execution.nodes == 16
     assert sim.cluster.free == SYSTEM - 16
     sim.validate_state()
