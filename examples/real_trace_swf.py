@@ -17,6 +17,7 @@ Run:
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -59,19 +60,23 @@ def main() -> None:
     parser.add_argument("--max-jobs", type=int, default=2000)
     args = parser.parse_args()
 
-    path = args.swf
-    if path is None:
-        tmp = tempfile.NamedTemporaryFile(suffix=".swf", delete=False)
-        tmp.close()
-        make_demo_swf(tmp.name)
-        path = tmp.name
-        # size the demo machine so the log actually contends for nodes
-        if args.system_size is None:
-            args.system_size = 64
-        print(f"(no SWF given; wrote a demo log to {path})\n", file=sys.stderr)
+    if args.swf is not None:
+        compare(args.swf, args)
+        return
+    # size the demo machine so the log actually contends for nodes
+    if args.system_size is None:
+        args.system_size = 64
+    with tempfile.TemporaryDirectory() as tmpdir:
+        path = os.path.join(tmpdir, "demo.swf")
+        make_demo_swf(path)
+        print("(no SWF given; using a generated demo log)\n", file=sys.stderr)
+        compare(path, args)
+
+
+def compare(path: str, args: argparse.Namespace) -> None:
+    """Run baseline vs the chosen mechanism on the SWF log at *path*."""
     if args.system_size is None:
         args.system_size = 4392
-
     rigid_jobs = load_swf(
         path, cores_per_node=args.cores_per_node, max_jobs=args.max_jobs
     )

@@ -12,10 +12,24 @@ Implementation: a step-function *availability profile* over future time
 scheduling instant's :class:`~repro.sched.profile.ProfileView` — in
 incremental mode that is a sort-free copy of the shared availability
 timeline.  Jobs are inserted in queue order at the earliest feasible
-start; a job whose reserved start is *now* actually starts.  Malleable
-jobs are reserved at their maximum size (choosing per-reservation sizes
-would make the profile search quadratic in sizes for marginal benefit);
-reserved-idle loans are an EASY-specific device and are not used here.
+start (one :meth:`~repro.sched.profile.AvailabilityProfile.reserve_earliest`
+walk each); a job whose reserved start is *now* actually starts.
+Malleable jobs are reserved at their maximum size (choosing
+per-reservation sizes would make the profile search quadratic in sizes
+for marginal benefit); reserved-idle loans are an EASY-specific device
+and are not used here.
+
+Wall-aware capacity cutoff: a pass only decides which jobs start *now*.
+With ``s`` / ``w`` the smallest size / predicted wall among
+``ordered_queue[i:]``, it stops at job ``i`` once some segment of
+``[now, now + w)`` has fewer than ``s`` free nodes.  That is exact: a
+job starts now only if every segment its window ``[now, now + wall)``
+touches has ``avail >= size``, every later window is at least ``w``
+long and so touches that segment too, and reservations only lower
+``avail``, so the test that fails now fails for the rest of the pass.
+The reservations skipped past the cutoff only move those of jobs also
+past it.  The old ``avail[0] < s`` rule is the case where the short
+segment is segment 0.
 """
 
 from __future__ import annotations
@@ -25,11 +39,9 @@ from typing import List, Sequence, Tuple
 
 from repro.jobs.job import Job
 from repro.sched.easy import StartDecision, WallPredictor
-from repro.sched.profile import AvailabilityProfile, ProfileView
+from repro.sched.profile import EPS, AvailabilityProfile, ProfileView
 
 __all__ = ["AvailabilityProfile", "ConservativeBackfillPlanner"]
-
-EPS = 1e-6
 
 
 class ConservativeBackfillPlanner:
@@ -48,31 +60,36 @@ class ConservativeBackfillPlanner:
     ) -> List[StartDecision]:
         now = profile.now
         working = profile.build_profile()
+        times = working.times
         avail = working.avail
-        # Capacity cutoff.  Every breakpoint past segment 0 lies strictly
-        # after now + EPS (``from_sorted`` folds releases at or before
-        # that into segment 0, and ``_insert_breakpoint`` ignores times
-        # within EPS of ``times[0]``), so a start at or before now + EPS
-        # can only come from segment 0, which needs ``avail[0] >= size``.
-        # ``reserve`` only ever lowers ``avail[0]``.  Once it drops below
-        # the smallest size still to come, no later job can start now,
-        # and the reservations they would make can only move the
-        # reservations of jobs that are themselves past the cutoff — so
-        # stopping there yields exactly the decisions of a full pass.
-        # need_after[i]: smallest size among ordered_queue[i:]
+        walls = [predict_wall(job, job.size) for job in ordered_queue]
+        # need_after[i] / wall_after[i]: smallest size / predicted wall
+        # among ordered_queue[i:]
         need_after = list(
             accumulate((job.size for job in reversed(ordered_queue)), min)
         )
         need_after.reverse()
+        wall_after = list(accumulate(reversed(walls), min))
+        wall_after.reverse()
         decisions: List[StartDecision] = []
         blocked_seen = False
         for i, job in enumerate(ordered_queue):
-            if avail[0] < need_after[i]:
+            # wall-aware capacity cutoff (see the module docstring): stop
+            # once a segment of [now, now + wall_after[i]) is short of
+            # need_after[i]; `cut` is the window end reserve_earliest
+            # computes for a start at now (times[0] == now)
+            need = need_after[i]
+            cut = now + wall_after[i] - EPS
+            n = len(times)
+            k = 0
+            while avail[k] >= need:
+                k += 1
+                if k == n or times[k] >= cut:
+                    break
+            else:
                 break
             nodes = job.size
-            wall = predict_wall(job, nodes)
-            start = working.earliest_start(nodes, wall)
-            working.reserve(start, wall, nodes)
+            start = working.reserve_earliest(nodes, walls[i])
             if start <= now + EPS:
                 decisions.append(
                     StartDecision(

@@ -24,9 +24,9 @@ under FCFS.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Tuple
 
-from repro.jobs.job import Job
+from repro.jobs.job import Job, JobType
 from repro.sched.policy import SchedulingPolicy
 from repro.util.errors import ConfigurationError
 from repro.util.timeconst import HOUR, MINUTE
@@ -72,15 +72,37 @@ class EwtPolicy(SchedulingPolicy):
         self.long_ewt_s = float(long_ewt_s)
         self.short_estimate_s = float(short_estimate_s)
 
-    def ewt(self, job: Job) -> float:
-        """The job's class EWT (seconds of tolerable wait)."""
-        if job.is_ondemand:
-            return self.ondemand_ewt_s
-        if job.estimate <= self.short_estimate_s:
-            return self.short_ewt_s
-        return self.long_ewt_s
+    def _sort_key(
+        self, now: float, prioritize_ondemand: bool = True
+    ) -> Callable[[Job], Tuple]:
+        """The total-order key at *now*, bound once per :meth:`order` call.
+
+        The class EWTs are bound here and each key reads
+        ``job.job_type`` directly, so building a key costs no method or
+        property call; this is the one place the urgency ratio is
+        computed (:meth:`key` derives from it).
+        """
+        ondemand_ewt = self.ondemand_ewt_s
+        short_ewt = self.short_ewt_s
+        long_ewt = self.long_ewt_s
+        short_estimate = self.short_estimate_s
+        ondemand = JobType.ONDEMAND
+
+        def sort_key(job: Job) -> Tuple:
+            kind = job.job_type
+            if kind is ondemand:
+                ewt = ondemand_ewt
+            elif job.estimate <= short_estimate:
+                ewt = short_ewt
+            else:
+                ewt = long_ewt
+            submit = job.submit_time
+            urgency = (now - submit + ewt) / ewt
+            if prioritize_ondemand:
+                return (kind is not ondemand, -urgency, submit, job.job_id)
+            return (-urgency, submit, job.job_id)
+
+        return sort_key
 
     def key(self, job: Job, now: float) -> Tuple:
-        ewt = self.ewt(job)
-        urgency = (now - job.submit_time + ewt) / ewt
-        return (-urgency, job.submit_time)
+        return self._sort_key(now, prioritize_ondemand=False)(job)[:-1]

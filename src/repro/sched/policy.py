@@ -43,7 +43,10 @@ class SchedulingPolicy(abc.ABC):
 
         On-demand jobs first (unless ``prioritize_ondemand`` is False),
         then the policy key; the job id is always the final tiebreaker,
-        so no two queued jobs share a key.
+        so no two queued jobs share a key.  A policy whose key is costly
+        per job may override this to bind its parameters once per call
+        (:class:`~repro.sched.ewt.EwtPolicy` does); :meth:`order` stays
+        the one entry point.
         """
         key = self.key
         if prioritize_ondemand:

@@ -255,6 +255,9 @@ class AvailabilityProfile:
 
     Kept as parallel lists ``times`` / ``avail`` where ``avail[i]`` holds
     on ``[times[i], times[i+1])``; the last segment extends to infinity.
+    No two breakpoints lie within EPS of each other.  Conservative
+    planning makes one :meth:`reserve_earliest` walk per job, which finds
+    the start and subtracts the job in the same pass over the segments.
     """
 
     def __init__(self, now: float, free: int, releases: Iterable[Block] = ()):
@@ -276,10 +279,8 @@ class AvailabilityProfile:
 
         A release within EPS of the last breakpoint merges into it (the
         first breakpoint is ``now``, so that covers releases already
-        due), the rule :meth:`_insert_breakpoint` applies too: no two
-        breakpoints lie within EPS of each other, so the EPS-widened
-        segment range :meth:`reserve` touches starts exactly at the
-        reserved start.
+        due), the rule :meth:`reserve_earliest` applies to the window
+        end too: no two breakpoints lie within EPS of each other.
         """
         times = self.times
         avail = self.avail
@@ -292,8 +293,21 @@ class AvailabilityProfile:
                 times.append(t)
                 avail.append(level)
 
-    def earliest_start(self, nodes: int, duration: float) -> float:
-        """Earliest time *nodes* nodes stay free for *duration* seconds."""
+    def reserve_earliest(self, nodes: int, duration: float) -> float:
+        """Reserve *nodes* nodes for *duration* seconds at the earliest
+        time they stay free; return that start.
+
+        The start is the first breakpoint ``times[i]`` whose window
+        ``[start, start + duration)`` keeps ``avail >= nodes`` on every
+        segment it touches: segment ``i`` and each later one starting
+        before ``end - EPS``.  The walk that checks the window stops at
+        the first breakpoint ``j`` at or past ``end - EPS`` (the index a
+        bisection would find), so the reservation subtracts over
+        ``range(i, j)``, every segment of which the check has just
+        shown to hold enough nodes.  The end becomes a new breakpoint
+        unless one already lies within EPS of it.  A window of EPS or
+        less touches no segment and reserves nothing.
+        """
         times = self.times
         avail = self.avail
         n = len(times)
@@ -304,51 +318,23 @@ class AvailabilityProfile:
                 continue
             start = times[i]
             end = start + duration
+            cut = end - EPS
             # check the window [start, end) stays above `nodes`
             j = i + 1
-            ok = True
-            while j < n and times[j] < end - EPS:
+            while j < n and times[j] < cut:
                 if avail[j] < nodes:
-                    ok = False
                     break
                 j += 1
-            if ok:
+            else:
+                if cut <= start:
+                    return start
+                if j == n or abs(times[j] - end) > EPS:
+                    times.insert(j, end)
+                    avail.insert(j, avail[j - 1])
+                for k in range(i, j):
+                    avail[k] -= nodes
                 return start
             i = j  # first violation: no point retrying inside the window
         raise AssertionError(
             "unreachable: the final profile segment extends to infinity"
         )
-
-    def reserve(self, start: float, duration: float, nodes: int) -> None:
-        """Subtract *nodes* over [start, start+duration).
-
-        Touches only the segments whose start time ``t`` satisfies
-        ``start - EPS <= t < end - EPS``; on the sorted ``times`` that
-        is one contiguous index range, found by bisection.
-        """
-        end = start + duration
-        self._insert_breakpoint(start)
-        self._insert_breakpoint(end)
-        times = self.times
-        avail = self.avail
-        for i in range(
-            bisect_left(times, start - EPS), bisect_left(times, end - EPS)
-        ):
-            avail[i] -= nodes
-            if avail[i] < 0:
-                raise AssertionError(
-                    f"profile went negative at t={times[i]}: {avail[i]}"
-                )
-
-    def _insert_breakpoint(self, t: float) -> None:
-        if t <= self.times[0] + EPS:
-            return
-        i = bisect_left(self.times, t - EPS)
-        if i < len(self.times) and abs(self.times[i] - t) <= EPS:
-            return
-        if i == len(self.times):
-            self.times.append(t)
-            self.avail.append(self.avail[-1])
-        else:
-            self.times.insert(i, t)
-            self.avail.insert(i, self.avail[i - 1])

@@ -29,38 +29,47 @@ def flat_wall(job, nodes):
     return job.estimate
 
 
+def step_profile(times, avail):
+    """A profile holding the step function *times* / *avail*."""
+    p = AvailabilityProfile(times[0], avail[0])
+    p.times[:] = times
+    p.avail[:] = avail
+    return p
+
+
 class TestAvailabilityProfile:
     def test_immediate_fit(self):
         p = AvailabilityProfile(0.0, 50, [])
-        assert p.earliest_start(30, 100.0) == 0.0
+        assert p.reserve_earliest(30, 100.0) == 0.0
 
     def test_waits_for_release(self):
         p = AvailabilityProfile(0.0, 10, [(500.0, 40)])
-        assert p.earliest_start(30, 100.0) == 500.0
+        assert p.reserve_earliest(30, 100.0) == 500.0
 
     def test_window_must_be_sustained(self):
         # 50 free now, but a reservation dip [200, 300) to 20 nodes:
         # a 250 s window starting now would overlap the dip
-        p = AvailabilityProfile(0.0, 50, [])
-        p.reserve(200.0, 100.0, 30)
-        assert p.earliest_start(30, 250.0) == 300.0
+        dip = ([0.0, 200.0, 300.0], [50, 20, 50])
+        assert step_profile(*dip).reserve_earliest(30, 250.0) == 300.0
         # a window that ends before the dip still starts immediately
-        assert p.earliest_start(30, 150.0) == 0.0
+        assert step_profile(*dip).reserve_earliest(30, 150.0) == 0.0
 
     def test_multiple_releases_accumulate(self):
         p = AvailabilityProfile(0.0, 0, [(100.0, 20), (200.0, 20)])
-        assert p.earliest_start(40, 50.0) == 200.0
+        assert p.reserve_earliest(40, 50.0) == 200.0
 
     def test_reserve_then_fit_behind(self):
         p = AvailabilityProfile(0.0, 100, [])
-        p.reserve(0.0, 1000.0, 80)
-        assert p.earliest_start(30, 10.0) == 1000.0
-        assert p.earliest_start(20, 10.0) == 0.0
+        assert p.reserve_earliest(80, 1000.0) == 0.0
+        assert p.reserve_earliest(30, 10.0) == 1000.0
+        assert p.reserve_earliest(20, 10.0) == 0.0
 
     def test_negative_reservation_caught(self):
+        # no segment ever holds 20 nodes: refused, profile untouched
         p = AvailabilityProfile(0.0, 10, [])
         with pytest.raises(AssertionError):
-            p.reserve(0.0, 10.0, 20)
+            p.reserve_earliest(20, 10.0)
+        assert (p.times, p.avail) == ([0.0], [10])
 
 
 class TestPlanner:

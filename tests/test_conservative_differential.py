@@ -1,10 +1,12 @@
 """Differential tests: conservative planner against a full-queue oracle.
 
-``ConservativeBackfillPlanner.plan`` stops at the capacity cutoff and
-``AvailabilityProfile.reserve`` updates only the segments inside the
-reserved window.  The oracle below is the plain form of both: it
-reserves every queued job and walks the whole profile on each reserve.
-The two must make identical decisions and leave identical profiles.
+``ConservativeBackfillPlanner.plan`` stops at the wall-aware capacity
+cutoff, and ``AvailabilityProfile.reserve_earliest`` finds a start and
+reserves it in one walk that touches only the segments inside the
+window.  The oracle below is the plain form of both: it reserves every
+queued job, finds each start with a separate search, and walks the
+whole profile on each reserve.  The two must make identical decisions
+and leave identical profiles.
 
 Both follow one breakpoint rule: no two breakpoints lie within EPS of
 each other.  A release within EPS of the previous breakpoint merges into
@@ -80,6 +82,11 @@ def ref_earliest_start(times, avail, nodes, duration):
 
 def ref_reserve(times, avail, start, duration, nodes):
     end = start + duration
+    if end - EPS <= start:
+        # a window of EPS or less touches no segment; its end may still
+        # round to more than EPS past a start breakpoint, and inserting
+        # it would put it before that breakpoint
+        return
     ref_insert_breakpoint(times, avail, start)
     ref_insert_breakpoint(times, avail, end)
     for i, t in enumerate(times):
@@ -185,6 +192,10 @@ def views(now, free, running, overlay):
 # two releases past now + EPS but less than EPS apart: reserving at the
 # later one used to hit the earlier one too and drive it negative
 @example((0.0, 1, [(1.27e-6, 1), (2e-6, 1)], [], [2, 1], [1.0, 1.0]))
+# the head's reservation empties [100, 1100); the 5-node job behind it
+# still fits in avail[0] = 10, but its 500 s window reaches t=100, so
+# the wall-aware cutoff stops the pass there
+@example((0.0, 10, [(100.0, 30)], [], [40, 5, 8], [1000.0, 500.0, 600.0]))
 def test_planner_matches_full_queue_oracle(inputs):
     now, free, running, overlay, sizes, walls = inputs
     queue = [rigid(i, size) for i, size in enumerate(sizes)]
@@ -206,31 +217,39 @@ def test_planner_matches_full_queue_oracle(inputs):
     planning_inputs(),
     st.lists(
         st.tuples(
-            offsets,
-            st.floats(min_value=EPS / 2, max_value=6000.0),
+            st.one_of(
+                st.floats(min_value=EPS / 2, max_value=6000.0),
+                st.sampled_from([EPS / 2, EPS, 2 * EPS]),
+            ),
             st.integers(min_value=1, max_value=40),
         ),
         max_size=10,
     ),
 )
+# a window shorter than EPS whose earliest start is the later breakpoint
+# t=100: no breakpoint is added and nothing is subtracted
+@example((0.0, 0, [(100.0, 5)], [], [], []), [(EPS / 2, 3), (EPS / 2, 5)])
+# at start 2.0 the end 2.0 + EPS lies more than EPS past the start once
+# rounded, though the window ends at the start: still nothing reserved
+@example((0.0, 1, [], [], [], []), [(1.0, 1), (1.0, 1), (EPS, 1)])
 def test_windowed_reserve_matches_full_walk(inputs, reserves):
     now, free, running, overlay, _, _ = inputs
     view = next(views(now, free, running, overlay))
     prof = view.build_profile()
     times, avail = ref_build_profile(view)
     assert (prof.times, prof.avail) == (times, avail)
-    for off, duration, nodes in reserves:
-        start = now + off
-        try:
-            ref_reserve(times, avail, start, duration, nodes)
-        except AssertionError:
-            # the windowed reserve must refuse the same over-subscription
-            with pytest.raises(AssertionError, match="went negative"):
-                prof.reserve(start, duration, nodes)
+    for duration, nodes in reserves:
+        if nodes > avail[-1]:
+            # no segment ever holds that many nodes
+            with pytest.raises(AssertionError):
+                prof.reserve_earliest(nodes, duration)
             return
-        prof.reserve(start, duration, nodes)
+        start = ref_earliest_start(times, avail, nodes, duration)
+        ref_reserve(times, avail, start, duration, nodes)
+        assert prof.reserve_earliest(nodes, duration) == start
         assert prof.times == times
         assert prof.avail == avail
+        assert min(prof.avail) >= 0
 
 
 def test_cutoff_still_reserves_jobs_ahead_of_a_small_one():
@@ -250,8 +269,26 @@ def test_cutoff_still_reserves_jobs_ahead_of_a_small_one():
     assert ref_plan(view, queue, walls) == [(1, 5, 5, True)]
 
 
-def test_windowed_reserve_raises_on_negative_segment():
-    p = AvailabilityProfile(0.0, 10, [(100.0, 20)])
-    with pytest.raises(AssertionError, match="went negative"):
-        # fits after t=100 (30 free) but not before it (10 free)
-        p.reserve(50.0, 200.0, 25)
+def test_wall_aware_cutoff_stops_before_a_short_segment(monkeypatch):
+    # the head's reservation empties [100, 1100); avail[0] = 10 still
+    # covers the 5- and 8-node jobs behind it, but both windows reach
+    # t=100, so neither can start now and neither is reserved
+    sizes = []
+    reserve_earliest = AvailabilityProfile.reserve_earliest
+
+    def counted(self, nodes, duration):
+        sizes.append(nodes)
+        return reserve_earliest(self, nodes, duration)
+
+    monkeypatch.setattr(AvailabilityProfile, "reserve_earliest", counted)
+    view = ProfileView.from_blocks(0.0, 10, [(100.0, 30)])
+    queue = [rigid(0, 40), rigid(1, 5), rigid(2, 8)]
+    walls = {0: 1000.0, 1: 500.0, 2: 600.0}
+    got = ConservativeBackfillPlanner().plan(
+        profile=view,
+        ordered_queue=queue,
+        loanable=[],
+        predict_wall=lambda job, nodes: walls[job.job_id],
+    )
+    assert got == [] == ref_plan(view, queue, walls)
+    assert sizes == [40]

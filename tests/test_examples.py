@@ -50,3 +50,5 @@ def test_example_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    # a generated demo log is removed when the script ends
+    assert not list(tmp_path.rglob("*.swf"))

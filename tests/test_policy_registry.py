@@ -38,6 +38,7 @@ from repro.sched.score import ScorePolicy
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation
 from repro.util.errors import ConfigurationError
+from repro.util.timeconst import HOUR
 from repro.workload.trace import clone_jobs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -171,6 +172,75 @@ def test_static_key_sorts_like_order(name, prioritize_ondemand, queue, now):
 def test_time_variant_policy_has_no_static_key():
     assert get_policy("prb_ewt").static_key(True) is None
     assert get_policy("prb_ewt").static_key(False) is None
+
+
+# ----------------------------------------------------------------------
+# ``prb_ewt`` orders by the textbook PRB/EWT urgency
+# ----------------------------------------------------------------------
+EWT_DEFAULTS = EwtPolicy()
+
+
+def textbook_ewt_key(job, now, prioritize_ondemand):
+    """``(not on-demand, -(now - submit + EWT) / EWT, submit, job_id)``."""
+    p = EWT_DEFAULTS
+    if job.job_type is JobType.ONDEMAND:
+        ewt = p.ondemand_ewt_s
+    elif job.estimate <= p.short_estimate_s:
+        ewt = p.short_ewt_s
+    else:
+        ewt = p.long_ewt_s
+    key = (-(now - job.submit_time + ewt) / ewt, job.submit_time, job.job_id)
+    if prioritize_ondemand:
+        return (job.job_type is not JobType.ONDEMAND, *key)
+    return key
+
+
+@st.composite
+def ewt_queue(draw):
+    """Jobs of all three EWT classes, with shared submit times and
+    estimates exactly at the short/long threshold."""
+    queue = []
+    for job_id in range(draw(st.integers(min_value=0, max_value=12))):
+        estimate = draw(
+            st.one_of(
+                st.just(EWT_DEFAULTS.short_estimate_s),
+                st.floats(min_value=1.0, max_value=3 * HOUR),
+            )
+        )
+        kind = draw(st.sampled_from(list(JobType)))
+        queue.append(
+            Job(
+                job_id=job_id,
+                job_type=kind,
+                submit_time=draw(
+                    st.one_of(
+                        st.sampled_from([0.0, 1000.0]),
+                        st.floats(min_value=0.0, max_value=1e4),
+                    )
+                ),
+                size=2,
+                runtime=estimate,
+                estimate=estimate,
+                min_size=1 if kind is JobType.MALLEABLE else None,
+            )
+        )
+    return queue
+
+
+@pytest.mark.parametrize("prioritize_ondemand", [True, False])
+@settings(max_examples=200, deadline=None)
+# waits of hours, not months: at that scale an urgency written another
+# way, e.g. (now - submit) / EWT + 1, rounds differently
+@given(queue=ewt_queue(), now=st.floats(min_value=1e4, max_value=2e4))
+def test_prb_ewt_orders_by_textbook_key(prioritize_ondemand, queue, now):
+    policy = get_policy("prb_ewt")
+    got = policy.order(queue, now, prioritize_ondemand)
+    want = sorted(
+        queue, key=lambda j: textbook_ewt_key(j, now, prioritize_ondemand)
+    )
+    assert [j.job_id for j in got] == [j.job_id for j in want]
+    for job in queue:
+        assert policy.key(job, now) == textbook_ewt_key(job, now, False)[:-1]
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.sched.profile import (
+    EPS,
     AvailabilityProfile,
     AvailabilityTimeline,
     ProfileView,
@@ -170,12 +171,25 @@ class TestAvailabilityProfileMoved:
 
         assert FromConservative is AvailabilityProfile
 
-    def test_insert_breakpoint_bisect_semantics(self):
+    def test_reserve_earliest_inserts_only_the_end_breakpoint(self):
         p = AvailabilityProfile(0.0, 50, [(100.0, 10)])
-        p.reserve(50.0, 25.0, 20)  # new breakpoints at 50 and 75
-        assert p.times == [0.0, 50.0, 75.0, 100.0]
-        assert p.avail == [50, 30, 50, 60]
-        # re-reserving on an existing breakpoint adds no duplicate
-        p.reserve(50.0, 25.0, 5)
-        assert p.times == [0.0, 50.0, 75.0, 100.0]
-        assert p.avail == [50, 25, 50, 60]
+        # starts on the existing breakpoint 0; new breakpoint at 25
+        assert p.reserve_earliest(20, 25.0) == 0.0
+        assert p.times == [0.0, 25.0, 100.0]
+        assert p.avail == [30, 50, 60]
+        # an end on an existing breakpoint adds no duplicate
+        assert p.reserve_earliest(5, 25.0) == 0.0
+        assert p.times == [0.0, 25.0, 100.0]
+        assert p.avail == [25, 50, 60]
+        # an end within EPS of one snaps to it
+        assert p.reserve_earliest(40, 75.0 + EPS / 2) == 25.0
+        assert p.times == [0.0, 25.0, 100.0]
+        assert p.avail == [25, 10, 60]
+
+    def test_window_of_eps_or_less_reserves_nothing(self):
+        # the earliest start is the later breakpoint t=100 (i > 0)
+        p = AvailabilityProfile(0.0, 0, [(100.0, 5)])
+        for wall in (EPS / 2, EPS):
+            assert p.reserve_earliest(3, wall) == 100.0
+            assert p.times == [0.0, 100.0]
+            assert p.avail == [0, 5]
