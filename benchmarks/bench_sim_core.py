@@ -28,7 +28,8 @@ comparable trajectory.  The workload itself
 ``REPRO_BENCH_MEMORY_JOBS`` scales the materialized memory-ceiling
 scenario (default 100k jobs, ~1 min with the tracemalloc pass);
 ``REPRO_BENCH_STREAM_JOBS`` scales the streamed one (default 1M jobs,
-~8 min — the generator-backed path's headline scale).
+~8 min — the generator-backed path's headline scale).  A streamed 100k
+run that writes its decision log to a file is held to the same ceiling.
 """
 
 import contextlib
@@ -579,6 +580,40 @@ def test_streamed_memory_ceiling_100k(emit, perf_store):  # noqa: F811
     materialized scenario above, the bound must not grow with n_jobs."""
     _streamed_memory_run(
         100_000, emit, perf_store, "bench_sim_core_streamed_100k"
+    )
+
+
+def test_streamed_memory_ceiling_100k_decision_log(  # noqa: F811
+    emit, tmp_path
+):
+    """Streamed 100k writing its decision log to a file: the log streams
+    line by line, so the same absolute ceiling holds with it on."""
+    n_jobs = 100_000
+    path = tmp_path / "decisions.jsonl"
+
+    def once():
+        with open(path, "w", encoding="utf-8") as log:
+            result = Simulation(
+                stream_synth_jobs(n_jobs), _config(), decision_log=log
+            ).run()
+        return {"events_processed": float(result.events_processed)}
+
+    m = measure(once, warmup=0, repeat=1, memory=True)
+    peak = m.memory["tracemalloc_peak_bytes"]
+    log_mib = path.stat().st_size / 2**20
+    emit(
+        "bench_sim_core_streamed_100k_decision_log",
+        f"streamed memory ceiling with the decision log, {n_jobs} jobs: "
+        f"tracemalloc peak {peak / 2**20:.1f} MiB "
+        f"(ceiling {STREAM_MEMORY_CEILING_BYTES / 2**20:.0f} MiB), "
+        f"log {log_mib:.1f} MiB on disk, wall {m.wall_time_s:.1f}s",
+    )
+    assert log_mib > 1.0, "the decision log was not written"
+    assert peak < STREAM_MEMORY_CEILING_BYTES, (
+        f"streamed python-heap peak {peak / 2**20:.1f} MiB with the "
+        f"decision log exceeds the "
+        f"{STREAM_MEMORY_CEILING_BYTES / 2**20:.0f} MiB absolute ceiling "
+        f"at {n_jobs} jobs — the log is being retained"
     )
 
 

@@ -246,6 +246,17 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_lease_args(parser: argparse.ArgumentParser) -> None:
+    """Lease options shared by ``campaign fleet`` and ``campaign worker``."""
+    parser.add_argument("--ttl", type=float, default=60.0)
+    parser.add_argument("--poll", type=float, default=1.0)
+    parser.add_argument(
+        "--claim-batch", type=int, default=1,
+        help="leases each worker claims per round (amortizes "
+        "lease-board and completion-scan traffic)",
+    )
+
+
 def make_campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-hybrid campaign",
@@ -329,13 +340,7 @@ def make_campaign_parser() -> argparse.ArgumentParser:
         "--remote-pythonpath", default=None,
         help="PYTHONPATH to set on the ssh hosts (source checkouts)",
     )
-    fleet_p.add_argument("--ttl", type=float, default=60.0)
-    fleet_p.add_argument("--poll", type=float, default=1.0)
-    fleet_p.add_argument(
-        "--claim-batch", type=int, default=1,
-        help="leases each worker claims per round (amortizes "
-        "lease-board and completion-scan traffic)",
-    )
+    _add_lease_args(fleet_p)
     fleet_p.add_argument(
         "--trace",
         dest="trace_out",
@@ -354,8 +359,7 @@ def make_campaign_parser() -> argparse.ArgumentParser:
         "--shard", required=True,
         help="private shard name; unique per concurrent worker",
     )
-    worker_p.add_argument("--ttl", type=float, default=60.0)
-    worker_p.add_argument("--poll", type=float, default=1.0)
+    _add_lease_args(worker_p)
     worker_p.add_argument(
         "--max-cells", type=int, default=None,
         help="stop after executing this many cells",
@@ -364,11 +368,6 @@ def make_campaign_parser() -> argparse.ArgumentParser:
         "--no-wait", action="store_true",
         help="exit when nothing is claimable instead of waiting for "
         "other workers' leases to resolve",
-    )
-    worker_p.add_argument(
-        "--claim-batch", type=int, default=1,
-        help="leases to claim per round before executing (amortizes "
-        "lease-board and completion-scan traffic)",
     )
     worker_p.add_argument(
         "--trace",
@@ -624,17 +623,12 @@ def make_perf_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _perf_params(pairs: Optional[List[str]]) -> dict:
-    params = _parse_filters(pairs) or {}
-    return params
-
-
 def _perf_measure(args: argparse.Namespace, store) -> List:
     """Run every requested scenario through the shared harness."""
     from repro.perf.harness import bench
     from repro.perf.scenarios import SCENARIOS
 
-    params = _perf_params(args.params)
+    params = _parse_filters(args.params) or {}
     records = []
     for name in args.scenarios:
         record = bench(
@@ -851,7 +845,7 @@ def campaign_main(argv: List[str]) -> int:
     args = make_campaign_parser().parse_args(argv)
     if args.command == "run":
         spec = _campaign_spec_from_args(args)
-        obs = _enable_obs_if(getattr(args, "trace_out", None))
+        obs = _enable_obs_if(args.trace_out)
         result = run_campaign(
             spec,
             directory=args.directory,
@@ -894,7 +888,7 @@ def campaign_main(argv: List[str]) -> int:
             )
         else:
             backend = LocalSubprocessBackend(workers=args.workers)
-        obs = _enable_obs_if(getattr(args, "trace_out", None))
+        obs = _enable_obs_if(args.trace_out)
         fleet = run_fleet(
             spec,
             directory=args.directory,
@@ -940,7 +934,7 @@ def campaign_main(argv: List[str]) -> int:
     if args.command == "worker":
         from repro.campaign.distrib import run_worker
 
-        obs = _enable_obs_if(getattr(args, "trace_out", None))
+        obs = _enable_obs_if(args.trace_out)
         summary = run_worker(
             args.directory,
             shard=args.shard,
@@ -1149,7 +1143,7 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
 
 def _write_exhibit_html(args: argparse.Namespace, out: dict) -> None:
     """Honor ``--html FILE`` for an exhibit driver's result dict."""
-    if not getattr(args, "html_out", None):
+    if not args.html_out:
         return
     from repro.campaign.html import render_exhibit_html
 

@@ -10,7 +10,7 @@ executor and averages each mechanism's cells over the trace seeds.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.mechanisms import Mechanism
@@ -49,20 +49,19 @@ def run_one(
     fresh jobs off the shared rows, and no job list is ever
     materialized.
 
-    *log_path* turns on decision logging for this run and writes the
-    log as JSONL there (``--log-decisions``); it is deliberately an
+    *log_path* streams this run's decision log there as JSONL, one
+    line per decision as it is made (``--log-decisions``); a run that
+    raises leaves the decisions made so far.  It is deliberately an
     out-of-band side channel so it never perturbs the summary or any
     content-addressed cell key derived from the config.
     """
     sim = sim or SimConfig(system_size=spec.system_size)
-    if log_path is not None and not sim.log_decisions:
-        sim = replace(sim, log_decisions=True)
     if jobs is None:
         rows = get_trace_cache().theta_rows(spec, seed)
         jobs = stream_jobs_from_rows(spec, rows)
-    result = Simulation(jobs, sim, mechanism).run()
-    if log_path is not None and result.log is not None:
-        result.log.write_jsonl(log_path)
+    sink = open(log_path, "w", encoding="utf-8") if log_path else nullcontext()
+    with sink as log:
+        result = Simulation(jobs, sim, mechanism, decision_log=log).run()
     return summarize(result, instant_threshold_s=sim.instant_threshold_s)
 
 

@@ -64,19 +64,29 @@ def machine_fingerprint() -> Dict[str, Any]:
 
 
 def current_git_sha(repo_dir: Optional[str] = None) -> str:
-    """Short SHA of HEAD, or "unknown" outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=repo_dir,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
+    """Short SHA of HEAD, suffixed ``-dirty`` when tracked files differ
+    from it (the measured code is then not HEAD's), or "unknown" outside
+    a git checkout."""
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            out = subprocess.run(
+                ["git", *args],
+                cwd=repo_dir,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", "--short", "HEAD")
+    if not sha:
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+    if git("status", "--porcelain", "--untracked-files=no"):
+        return f"{sha}-dirty"
+    return sha
 
 
 def _encode_float(value: float) -> Any:

@@ -15,7 +15,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import EventQueue
 from repro.sim.events import Event, EventType
 from repro.sim.failures import FailureModel
-from repro.sim.schedlog import LogEntry, LogKind, SchedulerLog
+from repro.sim.schedlog import LogEntry, LogKind
 from repro.sim.simulator import Simulation, SimulationResult
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "FailureModel",
     "LogEntry",
     "LogKind",
-    "SchedulerLog",
     "EventQueue",
     "Event",
     "EventType",

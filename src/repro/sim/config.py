@@ -67,8 +67,6 @@ class SimConfig:
     #: tuning knobs passed to the policy factory (e.g. the score
     #: weights or the EWT class table); only valid with ``policy``
     policy_params: Mapping[str, object] = field(default_factory=dict)
-    #: record every scheduler decision in result.log (small overhead)
-    log_decisions: bool = False
     validate_invariants: bool = False
 
     def __post_init__(self) -> None:

@@ -39,7 +39,7 @@ import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union,
 )
 
 from repro.core.coordinator import HybridCoordinator
@@ -59,7 +59,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.config import SimConfig
 from repro.sim.engine import EventQueue
 from repro.sim.events import Event, EventType
-from repro.sim.schedlog import LogKind, SchedulerLog
+from repro.sim.schedlog import LogEntry, LogKind
 from repro.sim.wait_queue import WaitQueue
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.rng import RngStreams
@@ -150,8 +150,6 @@ class SimulationResult:
     lease_resumes: int = 0
     lease_expands: int = 0
     failures_injected: int = 0
-    #: populated when SimConfig.log_decisions is set
-    log: Optional[SchedulerLog] = None
     #: the streaming metrics funnel, fed at job completion: the one
     #: source of summary and breakdown metrics
     accumulator: Optional[SummaryAccumulator] = None
@@ -184,6 +182,11 @@ class Simulation:
     mechanism:
         One of the six mechanisms, or ``None`` for the baseline
         (FCFS/EASY with no special treatment of any job class).
+    decision_log:
+        Any object with ``write(str)``, or ``None``.  Each scheduler
+        decision is written to it as one :class:`~repro.sim.schedlog.LogEntry`
+        JSON line the moment it is made; the caller owns the sink and
+        closes it.  With ``None`` no decision is formatted at all.
 
     The queue policy is ``config.policy``, built by
     :mod:`repro.sched.registry` with ``config.policy_params`` as the
@@ -196,8 +199,10 @@ class Simulation:
         jobs: Union[Sequence[Job], JobStream, Iterable[Job]],
         config: Optional[SimConfig] = None,
         mechanism: Optional[Mechanism] = None,
+        decision_log: Optional[TextIO] = None,
     ) -> None:
         self.config = config or SimConfig()
+        self.decision_log = decision_log
         self.mechanism = mechanism
         self.policy: SchedulingPolicy = get_policy(
             self.config.policy or "fcfs", self.config.policy_params
@@ -279,7 +284,6 @@ class Simulation:
         # independently of construction order)
         self._failure_rng = None
         self._failures_injected = 0
-        self.log = SchedulerLog(enabled=self.config.log_decisions)
         # Instrumentation (repro.obs): metric objects are resolved once
         # here — with the default disabled bundle every one is a shared
         # no-op, so the funnel pays a single no-op method call per hit.
@@ -499,13 +503,11 @@ class Simulation:
             ex.finish_time(), EventType.JOB_FINISH, job_id, rec.epoch
         )
         self._maybe_schedule_failure(rec)
-        self.log.add(
-            t,
-            LogKind.START,
-            job_id,
-            nodes=nodes,
-            detail="resume" if st.preemptions else "",
-        )
+        if self.decision_log is not None:
+            self._log(
+                t, LogKind.START, job_id, nodes,
+                "resume" if st.preemptions else "",
+            )
 
     def start_od_job(self, job: Job) -> None:
         """Start an on-demand job at its full size from the free pool."""
@@ -557,9 +559,8 @@ class Simulation:
         rj.epoch += 1
         released = rj.execution.nodes
         self.cluster.release(released)
-        self.log.add(
-            self.now, LogKind.PREEMPT, job_id, nodes=released, detail=reason
-        )
+        if self.decision_log is not None:
+            self._log(self.now, LogKind.PREEMPT, job_id, released, reason)
         return released
 
     def shrink_running_malleable(self, job_id: int, take: int) -> int:
@@ -575,7 +576,8 @@ class Simulation:
         self.cluster.resize(old_nodes, new_nodes)
         rj.job.stats.shrinks += 1
         self._reschedule_finish(rj)
-        self.log.add(self.now, LogKind.SHRINK, job_id, nodes=take)
+        if self.decision_log is not None:
+            self._log(self.now, LogKind.SHRINK, job_id, take)
         return take
 
     def expand_running_malleable(self, job_id: int, give: int) -> int:
@@ -593,7 +595,8 @@ class Simulation:
         grown = self.cluster.resize(old_nodes, new_nodes)
         rj.job.stats.expands += 1
         self._reschedule_finish(rj)
-        self.log.add(self.now, LogKind.EXPAND, job_id, nodes=grown)
+        if self.decision_log is not None:
+            self._log(self.now, LogKind.EXPAND, job_id, grown)
         return grown
 
     def _reschedule_finish(self, rj: JobRecord) -> None:
@@ -626,6 +629,16 @@ class Simulation:
                 at, EventType.JOB_FAILURE, rj.job.job_id, rj.epoch
             )
 
+    def _log(
+        self, time: float, kind: LogKind, job_id: int, nodes: int,
+        detail: str = "",
+    ) -> None:
+        """Write one decision to the decision log; callers check first
+        that there is one, so a run without a log formats nothing."""
+        self.decision_log.write(
+            LogEntry(time, kind, job_id, nodes, detail).to_json_line() + "\n"
+        )
+
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
@@ -637,20 +650,19 @@ class Simulation:
         self.queue.add(job)
         self._sched_dirty = True
         self._c_dirty["submit"].inc()
-        self.log.add(self.now, LogKind.SUBMIT, job_id, nodes=job.size)
+        if self.decision_log is not None:
+            self._log(self.now, LogKind.SUBMIT, job_id, job.size)
         if job.is_ondemand:
             self.coordinator.on_od_arrival(job)
 
     def _handle_notice(self, job_id: int, _aux: int = 0) -> None:
         job = self.records[job_id].job
         job.set_state(JobState.NOTICED)
-        self.log.add(
-            self.now,
-            LogKind.NOTICE,
-            job_id,
-            nodes=job.size,
-            detail=f"eta={job.estimated_arrival:.0f}",
-        )
+        if self.decision_log is not None:
+            self._log(
+                self.now, LogKind.NOTICE, job_id, job.size,
+                f"eta={job.estimated_arrival:.0f}",
+            )
         self.coordinator.on_advance_notice(job)
         if job.no_show and self.coordinator.book.get(job_id) is None:
             # no reservation was opened (baseline / NOTHING strategy),
@@ -674,7 +686,8 @@ class Simulation:
         job.stats.end_time = now
         released = rj.execution.nodes
         self.cluster.release(released)
-        self.log.add(now, LogKind.FINISH, job_id, nodes=released)
+        if self.decision_log is not None:
+            self._log(now, LogKind.FINISH, job_id, released)
         self.metrics.observe_finished(job)
         if job.is_ondemand:
             self.coordinator.on_od_completion(job)
@@ -705,7 +718,8 @@ class Simulation:
         rj.started_at = self.now
         st.segment_sizes.append(ex.nodes)
         self._reschedule_finish(rj)
-        self.log.add(self.now, LogKind.FAILURE, job_id, nodes=ex.nodes)
+        if self.decision_log is not None:
+            self._log(self.now, LogKind.FAILURE, job_id, ex.nodes)
 
     def _handle_timeout(self, od_id: int, _aux: int = 0) -> None:
         self.coordinator.on_reservation_timeout(od_id)
@@ -1025,6 +1039,5 @@ class Simulation:
             lease_resumes=self.coordinator.lease_resumes,
             lease_expands=self.coordinator.lease_expands,
             failures_injected=self._failures_injected,
-            log=self.log if self.config.log_decisions else None,
             accumulator=self.metrics,
         )

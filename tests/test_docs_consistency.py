@@ -38,9 +38,7 @@ class TestReadmeQuickstart:
     def test_documented_config_knobs_exist(self):
         from repro.sim.config import SimConfig
 
-        config = SimConfig(
-            backfill_mode="conservative", log_decisions=True
-        )
+        config = SimConfig(backfill_mode="conservative")
         assert config.backfill_mode == "conservative"
         from repro.workload.spec import theta_spec
 

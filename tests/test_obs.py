@@ -348,11 +348,11 @@ class TestExport:
         ) == 2
 
     def test_schedlog_events_use_sim_time_track(self):
-        from repro.sim.schedlog import LogKind, SchedulerLog
+        from repro.sim.schedlog import LogEntry, LogKind
 
-        log = SchedulerLog()
-        log.add(3600.0, LogKind.START, 7, nodes=64)
-        events = events_from_schedlog(log.entries)
+        events = events_from_schedlog(
+            [LogEntry(3600.0, LogKind.START, 7, nodes=64)]
+        )
         assert events[0]["ph"] == "M"
         inst = events[1]
         assert inst["ph"] == "i" and inst["ts"] == 3600.0
@@ -500,13 +500,14 @@ class TestCampaignCLI:
 
     def test_obs_from_decisions_cli(self, tmp_path, capsys):
         from repro.experiments.cli import obs_main
-        from repro.sim.schedlog import LogKind, SchedulerLog
+        from repro.sim.schedlog import LogEntry, LogKind
 
-        log = SchedulerLog()
-        log.add(10.0, LogKind.SUBMIT, 1)
-        log.add(20.0, LogKind.START, 1, nodes=4)
+        entries = [
+            LogEntry(10.0, LogKind.SUBMIT, 1),
+            LogEntry(20.0, LogKind.START, 1, nodes=4),
+        ]
         src = tmp_path / "d.jsonl"
-        log.write_jsonl(src)
+        src.write_text("".join(e.to_json_line() + "\n" for e in entries))
         out = tmp_path / "d.trace.json"
         assert obs_main(["from-decisions", str(src), "-o", str(out)]) == 0
         doc = load_trace(out)

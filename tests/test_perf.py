@@ -21,6 +21,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import tracemalloc
 
 import pytest
@@ -113,6 +114,25 @@ class TestRecord:
     def test_current_git_sha_in_repo(self):
         sha = current_git_sha(str(pathlib.Path(__file__).parent.parent))
         assert sha != "unknown" and len(sha) >= 7
+
+    def test_current_git_sha_marks_a_dirty_tree(self, tmp_path):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("a\n")
+        git("add", "f.txt")
+        git("commit", "-q", "-m", "init")
+        clean = current_git_sha(str(tmp_path))
+        assert clean != "unknown" and not clean.endswith("-dirty")
+        (tmp_path / "untracked.txt").write_text("x\n")
+        assert current_git_sha(str(tmp_path)) == clean  # untracked: clean
+        (tmp_path / "f.txt").write_text("b\n")
+        assert current_git_sha(str(tmp_path)) == f"{clean}-dirty"
 
 
 class TestStore:

@@ -20,6 +20,7 @@ Invariants checked per policy:
   aging policy would love to run something else.
 """
 
+import io
 import sys
 
 import pytest
@@ -37,7 +38,7 @@ from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobType, NoticeClass
 from repro.sim.config import SimConfig
-from repro.sim.schedlog import LogKind
+from repro.sim.schedlog import LogEntry, LogKind
 from repro.sim.simulator import Simulation
 
 MECHANISMS = [None, "N&PAA", "CUA&SPAA"]
@@ -59,12 +60,12 @@ def test_fuzz_traces_every_policy(policy, backfill_mode, mechanism, seed):
 # ----------------------------------------------------------------------
 # Decision-log replay: submit ordering and machine capacity
 # ----------------------------------------------------------------------
-def _replay_log(entries, submit_times, system_size):
-    """Replay a decision log, asserting per-event sanity; returns the
-    peak concurrent allocation seen."""
+def _replay_log(lines, submit_times, system_size):
+    """Replay a decision log's JSONL lines, asserting per-event sanity;
+    returns the peak concurrent allocation seen."""
     alloc = {}
     peak = 0
-    for e in entries:
+    for e in map(LogEntry.from_json_line, lines):
         if e.kind is LogKind.START:
             assert e.time >= submit_times[e.job_id] - 1e-6, (
                 f"job {e.job_id} started at {e.time} before submit "
@@ -102,13 +103,13 @@ def test_log_replay_no_oversubscription(policy, backfill_mode, mechanism):
     config = SimConfig(
         system_size=SYSTEM,
         checkpoint=CheckpointModel.disabled(),
-        log_decisions=True,
         validate_invariants=True,
         policy=policy,
         backfill_mode=backfill_mode,
     )
-    result = Simulation(jobs, config, _mech(mechanism)).run()
-    peak = _replay_log(result.log.entries, submit_times, SYSTEM)
+    log = io.StringIO()
+    Simulation(jobs, config, _mech(mechanism), decision_log=log).run()
+    peak = _replay_log(log.getvalue().splitlines(), submit_times, SYSTEM)
     assert peak > 0, "the trace should actually allocate nodes"
 
 

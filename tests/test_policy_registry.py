@@ -9,6 +9,7 @@ policy axis existed: if any of them moves, re-running a pre-PR campaign
 directory would re-simulate instead of cache-hitting.
 """
 
+import io
 import json
 import os
 import pathlib
@@ -246,27 +247,24 @@ def test_prb_ewt_orders_by_textbook_key(prioritize_ondemand, queue, now):
 # ----------------------------------------------------------------------
 # ``fcfs`` plans byte-identically to the unset policy, under both planners
 # ----------------------------------------------------------------------
-def _decision_log(result):
-    return [e.to_json_line() for e in result.log.entries]
+def _run_logged(jobs, config, mech):
+    """Simulate fresh copies of *jobs*; returns (result, decision log)."""
+    log = io.StringIO()
+    result = Simulation(clone_jobs(jobs), config, mech, decision_log=log).run()
+    return result, log.getvalue()
 
 
 @pytest.mark.parametrize("backfill_mode", ["easy", "conservative"])
 def test_fcfs_plans_like_the_unset_policy(backfill_mode):
     jobs = random_trace(13, 45)
     mech = Mechanism.parse("N&SPAA")
-    unset = Simulation(
-        clone_jobs(jobs),
-        _config(log_decisions=True, backfill_mode=backfill_mode),
-        mech,
-    ).run()
-    fcfs = Simulation(
-        clone_jobs(jobs),
-        _config(
-            log_decisions=True, backfill_mode=backfill_mode, policy="fcfs"
-        ),
-        mech,
-    ).run()
-    assert _decision_log(fcfs) == _decision_log(unset)
+    unset, unset_log = _run_logged(
+        jobs, _config(backfill_mode=backfill_mode), mech
+    )
+    fcfs, fcfs_log = _run_logged(
+        jobs, _config(backfill_mode=backfill_mode, policy="fcfs"), mech
+    )
+    assert fcfs_log == unset_log
     assert _job_outcomes(fcfs) == _job_outcomes(unset)
     assert fcfs.policy == unset.policy == "fcfs"
 
@@ -287,15 +285,11 @@ SCORE_CASES = [
 def test_score_subsumes_classic_orderings(params, classic):
     jobs = random_trace(23, 40)
     mech = Mechanism.parse("N&PAA")
-    ref = Simulation(
-        clone_jobs(jobs), _config(log_decisions=True, policy=classic), mech
-    ).run()
-    via_score = Simulation(
-        clone_jobs(jobs),
-        _config(log_decisions=True, policy="score", policy_params=params),
-        mech,
-    ).run()
-    assert _decision_log(via_score) == _decision_log(ref)
+    ref, ref_log = _run_logged(jobs, _config(policy=classic), mech)
+    via_score, score_log = _run_logged(
+        jobs, _config(policy="score", policy_params=params), mech
+    )
+    assert score_log == ref_log
     assert _job_outcomes(via_score) == _job_outcomes(ref)
 
 
@@ -321,13 +315,8 @@ GOLDEN_CASES = [
 )
 def test_golden_decision_log(policy, params):
     jobs = random_trace(2022, 30)
-    config = _config(
-        log_decisions=True, policy=policy, policy_params=params
-    )
-    result = Simulation(
-        clone_jobs(jobs), config, Mechanism.parse("N&PAA")
-    ).run()
-    text = "\n".join(e.to_json_line() for e in result.log.entries) + "\n"
+    config = _config(policy=policy, policy_params=params)
+    _, text = _run_logged(jobs, config, Mechanism.parse("N&PAA"))
     path = GOLDEN / f"policy_{policy}.jsonl"
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         path.write_text(text)

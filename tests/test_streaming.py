@@ -16,9 +16,12 @@ Covers the three equivalence contracts the streaming path promises:
   notices outrun its declared horizon is rejected at admission.
 """
 
+import gc
+import io
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,6 +35,7 @@ from repro.metrics.breakdown import (
 )
 from repro.metrics.summary import deterministic_view, summarize
 from repro.perf.record import canonical_json
+from repro.perf.scenarios import bench_sim_config, stream_synth_jobs
 from repro.sim.config import SimConfig
 from repro.sim.engine import EventQueue
 from repro.sim.events import EventType
@@ -58,6 +62,13 @@ SPEC = theta_spec(days=4, target_load=0.85)
 
 def _sim_config(**overrides) -> SimConfig:
     return SimConfig(system_size=SPEC.system_size, **overrides)
+
+
+def _run_logged(jobs, config, mechanism=None):
+    """Simulate *jobs*; returns (result, decision log text)."""
+    log = io.StringIO()
+    result = Simulation(jobs, config, mechanism, decision_log=log).run()
+    return result, log.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -141,18 +152,16 @@ def _canonical(result) -> bytes:
 )
 def test_streamed_matches_materialized(mechanism):
     gen = ThetaWorkloadGenerator(SPEC, seed=3)
-    config = _sim_config(log_decisions=True)
-    mat = Simulation(gen.generate(), config, mechanism).run()
-    st = Simulation(
+    config = _sim_config()
+    mat, mat_log = _run_logged(gen.generate(), config, mechanism)
+    st, st_log = _run_logged(
         ThetaWorkloadGenerator(SPEC, seed=3).iter_jobs(), config, mechanism
-    ).run()
+    )
     assert st.jobs == []  # the stream was never materialized
     assert _canonical(st) == _canonical(mat)
     # the full decision transcript is identical too: same starts, same
     # preemptions, same reservations, in the same order
-    assert [e.to_json_line() for e in st.log.entries] == [
-        e.to_json_line() for e in mat.log.entries
-    ]
+    assert st_log == mat_log
     assert (
         st.events_processed,
         st.schedule_passes,
@@ -176,22 +185,19 @@ def test_streamed_matches_materialized_every_policy(policy, backfill_mode):
     spec = theta_spec(days=2, target_load=0.85)
     config = SimConfig(
         system_size=spec.system_size,
-        log_decisions=True,
         policy=policy,
         backfill_mode=backfill_mode,
     )
     mechanism = ALL_MECHANISMS[0]
-    mat = Simulation(
+    mat, mat_log = _run_logged(
         ThetaWorkloadGenerator(spec, seed=9).generate(), config, mechanism
-    ).run()
-    st = Simulation(
+    )
+    st, st_log = _run_logged(
         ThetaWorkloadGenerator(spec, seed=9).iter_jobs(), config, mechanism
-    ).run()
+    )
     assert st.jobs == []
     assert _canonical(st) == _canonical(mat)
-    assert [e.to_json_line() for e in st.log.entries] == [
-        e.to_json_line() for e in mat.log.entries
-    ]
+    assert st_log == mat_log
 
 
 def test_any_iterable_is_accepted_as_a_stream():
@@ -221,16 +227,16 @@ def _distinct_submit_jobs():
 
 
 def test_shuffled_list_matches_sorted_list():
-    config = _sim_config(log_decisions=True)
+    config = _sim_config()
     mechanism = ALL_MECHANISMS[0]
-    ordered = Simulation(_distinct_submit_jobs(), config, mechanism).run()
+    ordered, ordered_log = _run_logged(
+        _distinct_submit_jobs(), config, mechanism
+    )
     shuffled_jobs = _distinct_submit_jobs()
     random.Random(7).shuffle(shuffled_jobs)
-    shuffled = Simulation(shuffled_jobs, config, mechanism).run()
+    shuffled, shuffled_log = _run_logged(shuffled_jobs, config, mechanism)
     assert _canonical(shuffled) == _canonical(ordered)
-    assert [e.to_json_line() for e in shuffled.log.entries] == [
-        e.to_json_line() for e in ordered.log.entries
-    ]
+    assert shuffled_log == ordered_log
 
 
 def test_result_keeps_a_list_in_the_callers_order_and_no_stream():
@@ -302,6 +308,40 @@ def test_streamed_result_rejects_per_job_consumers():
         ondemand_by_notice_class(st, instant_threshold_s=1.0)
     with pytest.raises(ValueError):
         utilization_series(st)
+
+
+def _streamed_heap_peak(n_jobs, decision_log):
+    """tracemalloc peak of one streamed synth run writing its decision
+    log to *decision_log* (``None``: no log)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        Simulation(
+            stream_synth_jobs(n_jobs),
+            bench_sim_config(),
+            decision_log=decision_log,
+        ).run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decision_log_keeps_memory_o_in_flight(tmp_path):
+    """Writing the decision log costs no heap that grows with the run:
+    a 10k-job streamed run peaks within 1 MiB of the same run without a
+    log (an in-memory list of its ~30k decisions would add ~4 MiB)."""
+    _streamed_heap_peak(200, None)  # one-time imports and caches
+    without = _streamed_heap_peak(10_000, None)
+    path = tmp_path / "decisions.jsonl"
+    with open(path, "w", encoding="utf-8") as log:
+        with_log = _streamed_heap_peak(10_000, log)
+    with open(path, encoding="utf-8") as fh:
+        n_decisions = sum(1 for _ in fh)
+    assert n_decisions > 20_000
+    assert abs(with_log - without) < 2**20, (
+        f"heap peak {with_log / 2**20:.1f} MiB with the decision log vs "
+        f"{without / 2**20:.1f} MiB without"
+    )
 
 
 def _assert_close(got, want, where):
