@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.util.errors import ConfigurationError
 
@@ -80,7 +80,13 @@ del _state, _successors, _enum, _ordinal, _member
 
 @dataclass
 class JobStats:
-    """Mutable per-job measurement record filled in during simulation."""
+    """Mutable per-job measurement record filled in during simulation.
+
+    O(1) however often the job restarts: each closed segment is folded
+    into these totals, and its node-seconds over time go to the run's
+    :class:`~repro.metrics.accumulators.SummaryAccumulator` usage
+    series, not here.
+    """
 
     first_start: Optional[float] = None
     last_start: Optional[float] = None
@@ -106,11 +112,6 @@ class JobStats:
     checkpoint_node_seconds: float = 0.0
     #: total node-seconds the job held an allocation
     allocated_node_seconds: float = 0.0
-    #: sizes the job ran at (one entry per running segment)
-    segment_sizes: List[int] = field(default_factory=list)
-    #: closed running segments as (start, end, mean_nodes); resizes within
-    #: a segment are folded into the mean, preemption gaps are exact
-    segment_records: List[tuple] = field(default_factory=list)
 
     @property
     def waste_node_seconds(self) -> float:

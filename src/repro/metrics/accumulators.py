@@ -7,8 +7,14 @@ month-scale SWF volume, where the job list *is* the memory wall.  So
 simulator feeds every job through a :class:`SummaryAccumulator`
 exactly once, at the moment it leaves the in-flight set (completion,
 or admission for announced no-shows), and the accumulator keeps only
-count/sum/min/max cells and fixed-bucket histograms per
-job-type/notice-class group — O(1) state per group, O(1) work per job.
+count/sum cells per job-type/notice-class group — O(1) state per
+group, O(1) work per job.
+
+Beside the groups it keeps one sim-time series, the allocated
+node-seconds per ``bin_s`` of simulated time, fed as each running
+segment closes.  Its bins start at one hour; a segment ending past
+:data:`USAGE_MAX_BINS` bins folds adjacent pairs and doubles
+``bin_s``, so the series stays bounded however long the clock runs.
 
 Every run feeds the funnel through the simulator's one admission path,
 so a run fed a job list and one fed a generator of the same trace see
@@ -21,45 +27,35 @@ subtotals in :class:`~repro.jobs.job.JobType` declaration order.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from array import array
+from operator import add
+from typing import Dict
 
 from repro.jobs.job import Job, JobType, NoticeClass
-from repro.obs.registry import Histogram
+from repro.util.timeconst import HOUR
 
-#: turnaround histogram bucket bounds, seconds (log-spaced 1 min .. ~6 weeks)
-TURNAROUND_BUCKETS_S: Tuple[float, ...] = tuple(
-    60.0 * 4.0 ** e for e in range(0, 9)
-)
-
-#: on-demand start-delay histogram bucket bounds, seconds
-DELAY_BUCKETS_S: Tuple[float, ...] = tuple(
-    10.0 * 4.0 ** e for e in range(0, 9)
-)
+#: bound on the usage series' length: 2^14 doubles are 128 KiB, about
+#: 1.9 simulated years of hourly bins
+USAGE_MAX_BINS = 1 << 14
 
 
 class RunningStat:
-    """Count / sum / min / max of a value stream, O(1) state.
+    """Count / sum of a value stream, O(1) state.
 
     ``mean`` reproduces :func:`repro.metrics.summary._mean` on the same
     stream: NaN for an empty stream, a left-fold sum divided by the
     count otherwise.
     """
 
-    __slots__ = ("count", "total", "vmin", "vmax")
+    __slots__ = ("count", "total")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.vmin = math.inf
-        self.vmax = -math.inf
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
 
     @property
     def mean(self) -> float:
@@ -78,10 +74,9 @@ class TypeGroup:
         "lost_ns",
         "wasted_setup_ns",
         "checkpoint_ns",
-        "turnaround_hist",
     )
 
-    def __init__(self, label: str) -> None:
+    def __init__(self) -> None:
         self.turnaround = RunningStat()
         #: jobs preempted / shrunk at least once
         self.preempted = 0
@@ -92,33 +87,28 @@ class TypeGroup:
         self.lost_ns = 0.0
         self.wasted_setup_ns = 0.0
         self.checkpoint_ns = 0.0
-        self.turnaround_hist = Histogram(
-            f"jobs.{label}.turnaround_s", bounds=TURNAROUND_BUCKETS_S
-        )
 
 
 class NoticeGroup:
     """Per-notice-class accumulator cell (arrived on-demand jobs)."""
 
-    __slots__ = ("count", "instant", "delay", "turnaround", "delay_hist")
+    __slots__ = ("count", "instant", "delay", "turnaround")
 
-    def __init__(self, label: str) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.instant = 0
         self.delay = RunningStat()
         self.turnaround = RunningStat()
-        self.delay_hist = Histogram(
-            f"ondemand.{label}.start_delay_s", bounds=DELAY_BUCKETS_S
-        )
 
 
 class SummaryAccumulator:
     """The job-finish funnel feeding every summary and breakdown metric.
 
     The simulator calls :meth:`observe_noshow` when an announced
-    no-show enters the trace and :meth:`observe_finished` exactly once
-    per completed job, after its ``stats.end_time`` is final.  Nothing
-    here retains a :class:`~repro.jobs.job.Job` reference.
+    no-show enters the trace, :meth:`observe_finished` exactly once
+    per completed job, after its ``stats.end_time`` is final, and
+    :meth:`observe_segment` for every running segment it closes.
+    Nothing here retains a :class:`~repro.jobs.job.Job` reference.
     """
 
     __slots__ = (
@@ -129,6 +119,8 @@ class SummaryAccumulator:
         "od_delay",
         "od_instant",
         "by_notice",
+        "bin_s",
+        "usage_ns",
         "_type_cells",
         "_notice_cells",
     )
@@ -138,13 +130,17 @@ class SummaryAccumulator:
         self.n_noshow = 0
         self.turnaround_all = RunningStat()
         self.by_type: Dict[JobType, TypeGroup] = {
-            t: TypeGroup(t.value) for t in JobType
+            t: TypeGroup() for t in JobType
         }
         self.od_delay = RunningStat()
         self.od_instant = 0
         self.by_notice: Dict[NoticeClass, NoticeGroup] = {
-            c: NoticeGroup(c.value) for c in NoticeClass
+            c: NoticeGroup() for c in NoticeClass
         }
+        #: allocated node-seconds per ``bin_s`` of simulated time; bin
+        #: ``b`` covers ``[b * bin_s, (b + 1) * bin_s)``
+        self.bin_s = HOUR
+        self.usage_ns = array("d")
         # the same cells indexed by the member's ordinal: the per-job
         # lookup then never hashes an enum member
         self._type_cells = list(self.by_type.values())
@@ -162,7 +158,6 @@ class SummaryAccumulator:
         turnaround = job.turnaround
         self.turnaround_all.observe(turnaround)
         group.turnaround.observe(turnaround)
-        group.turnaround_hist.observe(turnaround)
         if st.preemptions > 0:
             group.preempted += 1
         if st.shrinks > 0:
@@ -181,10 +176,43 @@ class SummaryAccumulator:
             ng = self._notice_cells[job.notice_class.ordinal]
             ng.count += 1
             ng.delay.observe(delay)
-            ng.delay_hist.observe(delay)
             ng.turnaround.observe(turnaround)
             if instant:
                 ng.instant += 1
+
+    def observe_segment(
+        self, start: float, end: float, allocated: float
+    ) -> None:
+        """Spread a closed segment's *allocated* node-seconds evenly
+        over ``[start, end)`` (``end > start``), so a resize within the
+        segment counts at the segment's mean node count."""
+        bin_s = self.bin_s
+        b1 = int(end // bin_s)
+        while b1 >= USAGE_MAX_BINS:
+            self._fold()
+            bin_s = self.bin_s
+            b1 = int(end // bin_s)
+        usage = self.usage_ns
+        if b1 >= len(usage):
+            usage.frombytes(bytes(8 * (b1 + 1 - len(usage))))
+        b0 = int(start // bin_s)
+        if b0 == b1:
+            usage[b0] += allocated
+            return
+        rate = allocated / (end - start)
+        usage[b0] += rate * ((b0 + 1) * bin_s - start)
+        full = rate * bin_s
+        for b in range(b0 + 1, b1):
+            usage[b] += full
+        usage[b1] += rate * (end - b1 * bin_s)
+
+    def _fold(self) -> None:
+        """Halve the series: add adjacent bin pairs, double ``bin_s``."""
+        usage = self.usage_ns
+        if len(usage) % 2:
+            usage.append(0.0)
+        self.usage_ns = array("d", map(add, usage[::2], usage[1::2]))
+        self.bin_s *= 2
 
     # ------------------------------------------------------------------
     # Totals (group subtotals added in JobType declaration order)
@@ -214,49 +242,3 @@ class SummaryAccumulator:
     @property
     def checkpoint_node_seconds(self) -> float:
         return self._total("checkpoint_ns")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Diagnostic snapshot: per-group stats + histogram buckets."""
-
-        def stat(s: RunningStat) -> Dict[str, float]:
-            return {
-                "count": s.count,
-                "sum": s.total,
-                "min": s.vmin if s.count else 0.0,
-                "max": s.vmax if s.count else 0.0,
-            }
-
-        return {
-            "instant_threshold_s": self.instant_threshold_s,
-            "n_noshow": self.n_noshow,
-            "turnaround_s": stat(self.turnaround_all),
-            "by_type": {
-                t.value: {
-                    "turnaround_s": stat(g.turnaround),
-                    "turnaround_hist": g.turnaround_hist.to_dict(),
-                    "preempted_jobs": g.preempted,
-                    "shrunk_jobs": g.shrunk,
-                    "preemptions": g.preemptions,
-                    "allocated_node_s": g.allocated_ns,
-                    "lost_node_s": g.lost_ns,
-                    "wasted_setup_node_s": g.wasted_setup_ns,
-                    "checkpoint_node_s": g.checkpoint_ns,
-                }
-                for t, g in self.by_type.items()
-            },
-            "ondemand": {
-                "instant": self.od_instant,
-                "start_delay_s": stat(self.od_delay),
-                "by_notice_class": {
-                    c.value: {
-                        "count": g.count,
-                        "instant": g.instant,
-                        "start_delay_s": stat(g.delay),
-                        "start_delay_hist": g.delay_hist.to_dict(),
-                        "turnaround_s": stat(g.turnaround),
-                    }
-                    for c, g in self.by_notice.items()
-                },
-            },
-        }

@@ -3,8 +3,9 @@
 * per-notice-class on-demand outcomes (how do ACCURATE vs LATE arrivals
   fare under each mechanism — the machinery behind Observations 11/12);
 * per-type waste decomposition;
-* an hourly utilization series (text sparkline) for eyeballing drain
-  behaviour around on-demand bursts.
+* a utilization series (text sparkline) for eyeballing drain
+  behaviour around on-demand bursts, read from the accumulator's usage
+  series, so it works on streamed runs too.
 """
 
 from __future__ import annotations
@@ -78,48 +79,33 @@ def waste_by_type(result: SimulationResult) -> Dict[str, Dict[str, float]]:
     }
 
 
-def utilization_series(
-    result: SimulationResult, bin_s: float = HOUR
-) -> List[float]:
-    """Fraction of the machine allocated, per time bin.
+def utilization_series(result: SimulationResult) -> List[float]:
+    """Fraction of the machine allocated, per bin of the run's usage
+    series (``result.accumulator.bin_s``: one hour, doubled per fold).
 
-    Rebuilt from the exact per-segment records the simulator keeps
-    (preemption gaps contribute nothing); node counts within a segment
-    are the segment's mean, so a resize mid-segment is averaged.
-    Requires a materialized run: streamed results retire jobs (and
-    their segment records) at completion.
+    Node counts within a segment are the segment's mean, so a resize
+    mid-segment is averaged; preemption gaps contribute nothing.
+    Streamed and materialized runs of one trace give the same series.
     """
-    acc = result.accumulator
-    if not result.jobs and acc is not None and acc.n_jobs:
-        raise ValueError(
-            "utilization_series needs per-job segment records; run the "
-            "simulation with a materialized job list"
-        )
     horizon = result.last_end
     if horizon <= 0:
         return []
-    n_bins = max(1, int(horizon // bin_s) + 1)
-    used = [0.0] * n_bins
-    for j in result.jobs:
-        for start, end, nodes in j.stats.segment_records:
-            b0 = int(start // bin_s)
-            b1 = min(n_bins - 1, int(end // bin_s))
-            for b in range(b0, b1 + 1):
-                lo = max(start, b * bin_s)
-                hi = min(end, (b + 1) * bin_s)
-                used[b] += nodes * max(0.0, hi - lo)
-    cap = result.system_size * bin_s
-    return [min(1.0, u / cap) for u in used]
+    acc = result.accumulator
+    cap = result.system_size * acc.bin_s
+    series = [min(1.0, u / cap) for u in acc.usage_ns]
+    # a zero-length last segment adds no bin, but the horizon still
+    # reaches the last end
+    return series + [0.0] * (int(horizon // acc.bin_s) + 1 - len(series))
 
 
 def utilization_sparkline(
-    result: SimulationResult, bin_s: float = HOUR, width: Optional[int] = None
+    result: SimulationResult, width: Optional[int] = None
 ) -> str:
     """A text sparkline of machine usage over time.
 
     >>> # '@' = full machine, ' ' = idle
     """
-    series = utilization_series(result, bin_s=bin_s)
+    series = utilization_series(result)
     if width is not None and len(series) > width > 0:
         # downsample by averaging fixed-size chunks
         chunk = len(series) / width

@@ -142,6 +142,9 @@ class SimulationResult:
     last_end: float
     reserved_idle_node_seconds: float
     free_node_seconds: float
+    #: the streaming metrics funnel, fed at segment close and job
+    #: completion: the one source of summary and breakdown metrics
+    accumulator: SummaryAccumulator
     decision_latency: LatencyStats = field(default_factory=LatencyStats)
     events_processed: int = 0
     schedule_passes: int = 0
@@ -150,9 +153,6 @@ class SimulationResult:
     lease_resumes: int = 0
     lease_expands: int = 0
     failures_injected: int = 0
-    #: the streaming metrics funnel, fed at job completion: the one
-    #: source of summary and breakdown metrics
-    accumulator: Optional[SummaryAccumulator] = None
 
     @property
     def horizon(self) -> float:
@@ -498,7 +498,6 @@ class Simulation:
         if st.first_start is None:
             st.first_start = t
         st.last_start = t
-        st.segment_sizes.append(nodes)
         self.equeue.push(
             ex.finish_time(), EventType.JOB_FINISH, job_id, rec.epoch
         )
@@ -518,7 +517,8 @@ class Simulation:
         self._start_job(job, nodes, None)
 
     def _fold_segment(self, rj: JobRecord, acc, preempted: bool) -> None:
-        """Fold the segment *rj* just closed into its job's stats.
+        """Fold the segment *rj* just closed into its job's stats and
+        the run's usage series.
 
         *acc* is the execution model's accounting of the segment; the
         setup of a *preempted* segment is all waste.
@@ -526,9 +526,7 @@ class Simulation:
         st = rj.job.stats
         start, end = rj.started_at, self.now
         if end > start + EPS:
-            st.segment_records.append(
-                (start, end, acc.allocated / (end - start))
-            )
+            self.metrics.observe_segment(start, end, acc.allocated)
         st.allocated_node_seconds += acc.allocated
         st.setup_node_seconds += acc.setup
         if preempted:
@@ -716,7 +714,6 @@ class Simulation:
         ex = rj.execution
         ex.start_segment(self.now, ex.nodes)
         rj.started_at = self.now
-        st.segment_sizes.append(ex.nodes)
         self._reschedule_finish(rj)
         if self.decision_log is not None:
             self._log(self.now, LogKind.FAILURE, job_id, ex.nodes)

@@ -6,8 +6,9 @@ backfill planner, :class:`~repro.sim.simulator.Simulation` must produce
 **byte-identical** simulation outcomes to the full-replan oracle
 (:class:`replan_oracle.FullReplanSimulation`, which rebuilds every
 pass's profile from the running set and never skips a stale batch) —
-per-job timings and statistics, and every :class:`SummaryMetrics` field
-except the wall-clock ones and the executed/skipped pass counters.
+per-job timings and statistics, the decision log, and every
+:class:`SummaryMetrics` field except the wall-clock ones and the
+executed/skipped pass counters.
 
 Scenarios come from the invariant suite's seeded random trace generator
 (mixed rigid/malleable/on-demand with all notice classes), so every
@@ -15,6 +16,7 @@ Scenarios come from the invariant suite's seeded random trace generator
 PAA/SPAA arms, timeouts — is crossed with the skip logic.
 """
 
+import io
 import json
 import sys
 
@@ -59,7 +61,6 @@ def _job_outcomes(result) -> list:
                 st.shrinks,
                 st.expands,
                 st.failures,
-                tuple(st.segment_sizes),
                 round(st.allocated_node_seconds, 6),
                 round(st.retained_node_seconds, 6),
                 round(st.lost_node_seconds, 6),
@@ -69,8 +70,18 @@ def _job_outcomes(result) -> list:
 
 
 def _run_both(jobs, config, mechanism):
-    incremental = Simulation(clone_jobs(jobs), config, mechanism).run()
-    full = run_full_replan(clone_jobs(jobs), config, mechanism)
+    """Run the simulator and the oracle; their decision logs (every
+    start's node count and time, preemption, resize and failure) must
+    be identical."""
+    inc_log, full_log = io.StringIO(), io.StringIO()
+    incremental = Simulation(
+        clone_jobs(jobs), config, mechanism, decision_log=inc_log
+    ).run()
+    full = run_full_replan(
+        clone_jobs(jobs), config, mechanism, decision_log=full_log
+    )
+    assert inc_log.getvalue()
+    assert inc_log.getvalue() == full_log.getvalue()
     return incremental, full
 
 

@@ -6,6 +6,7 @@ from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType
 from repro.sim.config import SimConfig
+from repro.sim.failures import FailureModel
 from repro.sim.simulator import Simulation
 from repro.util.errors import ConfigurationError
 
@@ -162,13 +163,25 @@ class TestResultRecord:
         assert res.wall_time_s > 0
         assert res.first_submit == 5.0
 
-    def test_segment_records_cover_allocated(self):
-        res = Simulation([rigid(1, runtime=500.0, size=20)], cfg()).run()
-        j = res.jobs[0]
-        seg_total = sum(
-            (end - start) * nodes for start, end, nodes in j.stats.segment_records
-        )
-        assert seg_total == pytest.approx(j.stats.allocated_node_seconds)
+    def test_usage_series_covers_allocated(self):
+        jobs = [
+            rigid(1, size=100, runtime=20_000.0),
+            rigid(2, submit=100.0, size=30, runtime=8_000.0),
+            Job(job_id=3, job_type=JobType.ONDEMAND, submit_time=5_000.0,
+                size=40, runtime=3_000.0, estimate=3_000.0),
+        ]
+        res = Simulation(
+            jobs,
+            cfg(
+                failures=FailureModel(enabled=True, node_mtbf_s=1e6),
+                failure_seed=1,
+            ),
+            Mechanism.parse("N&PAA"),
+        ).run()
+        acc = res.accumulator
+        assert acc.by_type[JobType.RIGID].preemptions > 0
+        assert res.failures_injected > 0
+        assert sum(acc.usage_ns) == pytest.approx(acc.allocated_node_seconds)
 
 
 class TestCliExtensions:

@@ -9,6 +9,7 @@ right after a checkpoint, early arrival cancelling a CUP plan, reservation
 timeout, and the baseline's no-special-treatment behaviour.
 """
 
+import io
 import sys
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobState, JobType, NoticeClass
 from repro.sim.config import SimConfig
+from repro.sim.schedlog import LogEntry, LogKind
 from repro.sim.simulator import Simulation
 from repro.util.errors import SimulationError
 
@@ -144,15 +146,23 @@ class TestPlainScheduling:
         assert by_id(res, 3).stats.first_start == pytest.approx(6000.0)
 
     def test_malleable_starts_shrunk_when_pool_small(self):
-        res = run(
+        log = io.StringIO()
+        res = Simulation(
             [
                 rigid(1, 0.0, 70, 1000.0),
                 malleable(2, 10.0, size=100, min_size=20, runtime=300.0),
-            ]
-        )
+            ],
+            cfg(),
+            decision_log=log,
+        ).run()
         j = by_id(res, 2)
         assert j.stats.first_start == pytest.approx(10.0)
-        assert j.stats.segment_sizes == [30]
+        starts = [
+            e
+            for e in map(LogEntry.from_json_line, log.getvalue().splitlines())
+            if e.kind is LogKind.START and e.job_id == 2
+        ]
+        assert [(e.time, e.nodes) for e in starts] == [(10.0, 30)]
         # linear speedup: work 300*100 node-s on 30 nodes
         assert j.stats.end_time == pytest.approx(10.0 + 1000.0)
 

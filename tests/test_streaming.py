@@ -141,6 +141,7 @@ def _canonical(result) -> bytes:
                 vars(o) for o in ondemand_by_notice_class(result)
             ],
             "waste": waste_by_type(result),
+            "utilization": utilization_series(result),
         }
     ).encode()
 
@@ -306,8 +307,6 @@ def test_streamed_result_rejects_per_job_consumers():
         summarize(st, instant_threshold_s=1.0)
     with pytest.raises(ValueError):
         ondemand_by_notice_class(st, instant_threshold_s=1.0)
-    with pytest.raises(ValueError):
-        utilization_series(st)
 
 
 def _streamed_heap_peak(n_jobs, decision_log):
