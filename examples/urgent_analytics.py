@@ -110,7 +110,9 @@ def main() -> None:
             title="Urgent analysis burst on a busy 1024-node machine",
         )
     )
-    print("\nMachine usage over the day (one glyph per ~25 min, '@' = full):")
+    # the ~27 h run fills fewer than 60 hourly bins of the usage series,
+    # so the sparkline is not downsampled: each glyph is one bin
+    print("\nMachine usage over the day (one glyph per hour, '@' = full):")
     for name, line in sparklines:
         print(f"  {name:<9} |{line}|")
     print(

@@ -37,6 +37,7 @@ from repro.sim.failures import FailureModel
 from repro.util.errors import ConfigurationError
 from repro.util.timeconst import DAY
 from repro.workload.spec import NOTICE_MIXES, NoticeMix, WorkloadSpec, theta_spec
+from repro.workload.trace_cache import get_trace_cache
 
 #: a notice mix is referenced by Table III name or embedded as a dict
 MixLike = Union[str, Dict[str, object]]
@@ -126,7 +127,7 @@ class CampaignCell:
     policy_params: Mapping[str, object] = field(default_factory=dict)
 
     def config(self) -> Dict[str, object]:
-        """The canonical, hash-defining config dict.
+        """The canonical config dict, as stored; :meth:`key` hashes it.
 
         ``trace_file``/``trace_options`` — and likewise
         ``policy``/``policy_params`` — are included only when set, so
@@ -158,8 +159,18 @@ class CampaignCell:
         return out
 
     def key(self) -> str:
-        """Stable content address of this cell's full configuration."""
-        digest = hashlib.sha256(canonical_json(self.config()).encode())
+        """Stable content address of this cell's full configuration.
+
+        An SWF cell hashes its log's sha256 in place of the path, so one
+        log at two paths shares a key and an edited log gets a new one.
+        """
+        config = self.config()
+        if self.trace_file is not None:
+            del config["trace_file"]
+            config["trace_sha256"] = get_trace_cache().swf_sha256(
+                str(self.trace_file)
+            )
+        digest = hashlib.sha256(canonical_json(config).encode())
         return digest.hexdigest()[:16]
 
     @staticmethod

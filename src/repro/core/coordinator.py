@@ -453,7 +453,7 @@ class HybridCoordinator:
             if lender.state is JobState.QUEUED and lender.stats.preemptions > 0:
                 usable = self.ops.usable_free()
                 if usable >= lender.smallest_size:
-                    nodes = min(lender.max_size, usable)
+                    nodes = min(lender.size, usable)
                     self.ops.resume_from_queue(lender, nodes)
                     self.lease_resumes += 1
             elif lender.state is JobState.RUNNING and lease.kind is LeaseKind.SHRUNK:

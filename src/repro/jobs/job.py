@@ -229,6 +229,11 @@ class Job:
                 raise ConfigurationError(
                     f"job {self.job_id}: only on-demand jobs can be no-shows"
                 )
+        #: smallest start size (``min_size`` if malleable, else ``size``):
+        #: a plain attribute, so the planners read it with one load
+        self.smallest_size: int = (
+            self.min_size if self.job_type is JobType.MALLEABLE else self.size
+        )
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -244,19 +249,6 @@ class Job:
     @property
     def is_malleable(self) -> bool:
         return self.job_type is JobType.MALLEABLE
-
-    @property
-    def max_size(self) -> int:
-        """Largest node count the job can use (== ``size`` for all types)."""
-        return self.size
-
-    @property
-    def smallest_size(self) -> int:
-        """Smallest node count the job can start on."""
-        if self.job_type is JobType.MALLEABLE:
-            assert self.min_size is not None
-            return self.min_size
-        return self.size
 
     @property
     def work_node_seconds(self) -> float:

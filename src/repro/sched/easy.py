@@ -17,7 +17,7 @@ Two paper-specific twists:
   head — only the borrower's draw on the genuinely-free pool is checked
   against the extra-node budget.
 * **Malleable sizing.**  A malleable job can start anywhere in
-  ``[min_size, max_size]`` with linear speedup, so the planner picks the
+  ``[min_size, size]`` with linear speedup, so the planner picks the
   largest feasible size; when a head-fit fails it retries a smaller size
   that fits the backfill window or the extra-node budget.
 """
@@ -28,14 +28,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.jobs.job import Job, JobType
-from repro.sched.profile import ProfileView, ShadowInfo
+from repro.sched.profile import ProfileView
 
-__all__ = [
-    "BackfillPlanner",
-    "ShadowInfo",
-    "StartDecision",
-    "WallPredictor",
-]
+__all__ = ["BackfillPlanner", "StartDecision", "WallPredictor"]
 
 EPS = 1e-6
 
@@ -82,10 +77,6 @@ class BackfillPlanner:
         self.allow_loans = allow_loans
         self.flexible_malleable = flexible_malleable
 
-    def _min_size(self, job: Job) -> int:
-        """Smallest start size (baseline pins malleable jobs at full size)."""
-        return job.smallest_size if self.flexible_malleable else job.size
-
     # ------------------------------------------------------------------
     def plan(
         self,
@@ -115,14 +106,17 @@ class BackfillPlanner:
         free = profile.free
         decisions: List[StartDecision] = []
         queue = ordered_queue
+        flexible = self.flexible_malleable
 
-        # Phase 1 — start jobs in order while they fit in the free pool.
+        # Phase 1 — start jobs in order while they fit in the free pool
+        # (the baseline pins malleable jobs at full size).
         head_idx = 0
         while head_idx < len(queue):
             job = queue[head_idx]
-            if self._min_size(job) > free:
+            size = job.size
+            if (job.smallest_size if flexible else size) > free:
                 break
-            nodes = min(job.max_size, free)
+            nodes = min(size, free)
             decisions.append(
                 StartDecision(job=job, nodes=nodes, free_used=nodes)
             )
@@ -135,38 +129,69 @@ class BackfillPlanner:
         # Phase 2 — shadow reservation for the blocked head (a profile
         # query; phase 1 consumed free nodes, so pass the reduced pool).
         head = queue[head_idx]
-        shadow = profile.shadow(self._min_size(head), free=free)
-
-        # Phase 3 — backfill the remaining queue.  ``loan_total`` tracks
-        # the pool's remaining held nodes as loans are granted; a loan
-        # never takes more than an entry holds, so it stays the exact sum.
-        loan_pool: List[List[int]] = (
-            [[rid, held] for rid, held in loanable] if self.allow_loans else []
+        shadow = profile.shadow(
+            head.smallest_size if flexible else head.size, free=free
         )
-        loan_total = sum(held for _, held in loan_pool)
-        flexible = self.flexible_malleable
-        shadow_time = shadow.time
+
+        # Phase 3 — backfill the remaining queue.  A fit is legal iff it
+        # cannot delay the head's shadow reservation: either the job's
+        # predicted end is before the shadow time, or the nodes it takes
+        # from the *free* pool fit in the extra budget (loaned reserved
+        # nodes never delay the head).  ``loan_total`` tracks the pool's
+        # remaining held nodes as loans are granted; a loan never takes
+        # more than an entry holds, so it stays the exact sum.
+        loan_pool: List[List[int]] = []
+        loan_total = 0
+        if self.allow_loans and loanable:
+            loan_pool = [[rid, held] for rid, held in loanable]
+            loan_total = sum(held for _, held in loan_pool)
+        shadow_time = shadow.time + EPS
         extra = shadow.extra_nodes
+        ondemand = JobType.ONDEMAND
         candidates = queue[head_idx + 1 :]
         if self.backfill_depth is not None:
             candidates = candidates[: self.backfill_depth]
         for job in candidates:
             if free <= 0 and loan_total <= 0:
                 break
-            min_size = job.smallest_size if flexible else job.size
+            size = job.size
+            min_size = job.smallest_size if flexible else size
             # on-demand jobs never borrow reserved nodes: a borrower is
             # preempted when the owning on-demand job arrives, and
             # on-demand jobs must never be preempted (§III-A)
-            pool = 0 if job.job_type is JobType.ONDEMAND else loan_total
-            if min_size > free + pool:
+            pool = 0 if job.job_type is ondemand else loan_total
+            avail = free + pool
+            if min_size > avail:
                 continue
-            pick = self._fit_backfill(
-                now, job, min_size, free, loan_pool, pool, shadow_time,
-                extra, predict_wall,
-            )
-            if pick is None:
-                continue
-            nodes, free_used, loans, used_extra = pick
+            # Attempt 1: the largest size, if it ends by the shadow time.
+            nodes = size if size < avail else avail
+            if now + predict_wall(job, nodes) <= shadow_time:
+                free_used = nodes if nodes < free else free
+            else:
+                # Attempt 2: the free draw fits the extra-node budget (no
+                # time limit); prefer the largest such size.  A smaller
+                # malleable size is slower, so there is nothing further
+                # to try.
+                budget = min(free, max(extra, 0))
+                if budget + pool < min_size:
+                    continue
+                nodes = min(size, budget + pool)
+                free_used = nodes if nodes < budget else budget
+                extra -= free_used
+            free -= free_used
+            loans: Dict[int, int] = {}
+            if nodes > free_used:
+                # borrow the rest in loan-priority order
+                need = nodes - free_used
+                loan_total -= need
+                for entry in loan_pool:
+                    take = min(entry[1], need)
+                    if take > 0:
+                        loans[entry[0]] = take
+                        entry[1] -= take
+                        need -= take
+                        if need == 0:
+                            break
             decisions.append(
                 StartDecision(
                     job=job,
@@ -176,67 +201,4 @@ class BackfillPlanner:
                     backfilled=True,
                 )
             )
-            free -= free_used
-            if used_extra:
-                extra -= free_used
-            if loans:
-                loan_total -= nodes - free_used
-                for entry in loan_pool:
-                    entry[1] -= loans.get(entry[0], 0)
         return decisions
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _split(loan_pool: Sequence[Sequence[int]], need: int) -> Dict[int, int]:
-        """Borrow *need* nodes from the pool in loan-priority order."""
-        loans: Dict[int, int] = {}
-        for rid, held in loan_pool:
-            if need <= 0:
-                break
-            take = min(held, need)
-            if take > 0:
-                loans[rid] = take
-                need -= take
-        return loans
-
-    @classmethod
-    def _fit_backfill(
-        cls,
-        now: float,
-        job: Job,
-        min_size: int,
-        free: int,
-        loan_pool: Sequence[Sequence[int]],
-        loan_total: int,
-        shadow_time: float,
-        extra: int,
-        predict_wall: WallPredictor,
-    ) -> Optional[Tuple[int, int, Dict[int, int], bool]]:
-        """Try to fit *job* as a backfill; returns (nodes, free_used, loans,
-        counted_against_extra) or None.
-
-        The caller has checked ``min_size <= free + loan_total``, where
-        ``loan_total`` is the reserved nodes this job may borrow (0 for
-        an on-demand job).  A fit is legal iff it cannot delay the head's
-        shadow reservation: either the job's predicted end is before the
-        shadow time, or the nodes it takes from the *free* pool fit in
-        the extra budget (loaned reserved nodes never delay the head).
-        """
-        # Attempt 1: largest possible size; qualifies if it ends in time.
-        nodes = min(job.max_size, free + loan_total)
-        if now + predict_wall(job, nodes) <= shadow_time + EPS:
-            free_used = min(nodes, free)
-            return nodes, free_used, cls._split(loan_pool, nodes - free_used), False
-
-        # Attempt 2: qualify via the extra-node budget (no time limit) —
-        # the free draw must fit in `extra`; prefer the largest such size.
-        free_budget = min(free, max(extra, 0))
-        if free_budget + loan_total >= min_size:
-            nodes = min(job.max_size, free_budget + loan_total)
-            free_used = min(nodes, free_budget)
-            return nodes, free_used, cls._split(loan_pool, nodes - free_used), True
-
-        # Attempt 3 (rigid only): a smaller malleable size could still fit
-        # the time window; for malleable jobs smaller = slower, so there is
-        # nothing further to try.
-        return None

@@ -42,8 +42,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.util.errors import InvariantViolation
 
@@ -53,8 +54,7 @@ EPS = 1e-6
 Block = Tuple[float, int]
 
 
-@dataclass(frozen=True)
-class ShadowInfo:
+class ShadowInfo(NamedTuple):
     """The head job's EASY reservation: when it can start, and the slack."""
 
     time: float
@@ -121,10 +121,6 @@ class AvailabilityTimeline:
         """All blocks in ``(release, nodes)`` order."""
         for release, nodes, _key in self._order:
             yield release, nodes
-
-    def blocks(self) -> Dict[int, Block]:
-        """Snapshot of ``key -> (release, nodes)`` (validation/debugging)."""
-        return dict(self._blocks)
 
     def validate_against(self, expected: Dict[int, Block]) -> None:
         """Cross-check against a from-scratch rebuild (invariant runs)."""
@@ -207,9 +203,7 @@ class ProfileView:
         self.free = free
         if overlay:
             overlay.sort()
-            self._overlay = overlay
-        else:
-            self._overlay = overlay if overlay is not None else []
+        self._overlay = overlay if overlay is not None else []
         return self
 
     # ------------------------------------------------------------------
@@ -237,11 +231,18 @@ class ProfileView:
         avail = self.free if free is None else free
         if head_need <= avail:
             return ShadowInfo(time=self.now, extra_nodes=avail - head_need)
-        for release, nodes in self.releases():
-            avail += nodes
+        # with no overlay, walk the timeline's (release, nodes, key)
+        # entries directly rather than through the releases() generator
+        steps: Iterable[Sequence] = (
+            self.releases()
+            if self._overlay or self._timeline is None
+            else self._timeline._order
+        )
+        for step in steps:
+            avail += step[1]
             if avail >= head_need:
                 return ShadowInfo(
-                    time=max(release, self.now), extra_nodes=avail - head_need
+                    time=max(step[0], self.now), extra_nodes=avail - head_need
                 )
         return ShadowInfo(time=math.inf, extra_nodes=avail - head_need)
 

@@ -38,7 +38,7 @@ class SimConfig:
         Whether backfilled jobs may borrow reserved-idle nodes (§III-B.1).
     flexible_malleable:
         When True the scheduler may start malleable jobs anywhere in
-        ``[min_size, max_size]``; the baseline configuration sets this
+        ``[min_size, size]``; the baseline configuration sets this
         False so malleable jobs behave like rigid jobs ("without special
         treatments").
     failures / failure_seed:

@@ -586,7 +586,7 @@ class Simulation:
         if not isinstance(rj.execution, MalleableExecution):
             raise SimulationError(f"expand of non-malleable job {job_id}")
         old_nodes = rj.execution.nodes
-        new_nodes = min(rj.job.max_size, old_nodes + give)
+        new_nodes = min(rj.job.size, old_nodes + give)
         if new_nodes == old_nodes:
             return 0
         rj.execution.resize(self.now, new_nodes)
@@ -846,8 +846,10 @@ class Simulation:
         if not queue.jobs:
             return
         usable = self.usable_free()
-        # nothing below mutates the book before planning: one snapshot
-        active = book.active_reservations()
+        # nothing below mutates the book before planning: one snapshot,
+        # skipped when no reservation holds nodes (only those lend nodes
+        # or add pseudo-blocks)
+        active = book.active_reservations() if book.total_held else ()
         loanable = [
             (r.od_job_id, r.held)
             for r in active

@@ -10,6 +10,9 @@ both a once-per-worker-process cost:
   log, keyed by ``(path, size, mtime_ns, options-hash)``.  The stat
   signature is re-checked on every lookup, so touching or rewriting
   the log invalidates the entry immediately — no TTLs, no staleness.
+* :meth:`TraceCache.swf_sha256` — the sha256 of an SWF log's bytes,
+  under the same stat check: campaign cell keys name the log by its
+  content, so one file is hashed once per process until it changes.
 * :meth:`TraceCache.theta_rows` — the synthetic generator's submit-
   sorted intermediate rows, keyed by ``(workload-spec-hash, seed)``.
   Rows are pure data derived from the key, so entries never go stale;
@@ -38,6 +41,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.jobs.job import Job
 from repro.obs import get_obs
+from repro.util.errors import ConfigurationError
 from repro.workload.spec import WorkloadSpec
 
 #: default LRU bound per cache family — a worker process rarely cycles
@@ -84,6 +88,9 @@ class TraceCache:
         self._swf: "OrderedDict[str, Tuple[Tuple, Tuple[Job, ...]]]" = (
             OrderedDict()
         )
+        #: abspath -> ((size, mtime_ns), sha256 of the bytes); unbounded:
+        #: one short entry per log, and cell keys hash each log cell by cell
+        self._digests: Dict[str, Tuple[Tuple[int, int], str]] = {}
         #: (spec hash, seed) -> generator rows
         self._rows: "OrderedDict[Tuple[str, int], List[dict]]" = OrderedDict()
 
@@ -128,6 +135,27 @@ class TraceCache:
             self._swf[abspath] = (sig, jobs)
             self._evict(self._swf)
         return jobs
+
+    def swf_sha256(self, path: str) -> str:
+        """The sha256 of the log's bytes, hashed again only when its
+        ``(size, mtime_ns)`` changes; an unreadable log raises
+        :class:`~repro.util.errors.ConfigurationError` naming it."""
+        abspath = os.path.abspath(path)
+        try:
+            st = os.stat(abspath)
+            entry = self._digests.get(abspath)
+            if entry is None or entry[0] != (st.st_size, st.st_mtime_ns):
+                sha = hashlib.sha256()
+                with open(abspath, "rb") as fh:
+                    for chunk in iter(lambda: fh.read(1 << 20), b""):
+                        sha.update(chunk)
+                entry = ((st.st_size, st.st_mtime_ns), sha.hexdigest())
+                self._digests[abspath] = entry
+        except OSError as exc:
+            raise ConfigurationError(
+                f"trace_file {path!r} cannot be read: {exc.strerror}"
+            ) from None
+        return entry[1]
 
     def theta_rows(self, spec: WorkloadSpec, seed: int) -> List[dict]:
         """The synthetic generator's rows for ``(spec, seed)``, cached.
@@ -174,6 +202,7 @@ class TraceCache:
     def clear(self) -> None:
         with self._lock:
             self._swf.clear()
+            self._digests.clear()
             self._rows.clear()
 
 

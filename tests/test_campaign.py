@@ -55,8 +55,11 @@ class TestSpecExpansion:
             c.key() for c in rev.expand()
         }
 
-    def test_key_covers_every_axis(self):
+    def test_key_covers_every_axis(self, tmp_path):
         base = small_spec().expand()[0]
+        # an SWF cell's key hashes the log's bytes, so the log must exist
+        swf = tmp_path / "some.swf"
+        write_demo_swf(swf)
         for field, other in [
             ("days", 3.0),
             ("target_load", 0.7),
@@ -68,7 +71,7 @@ class TestSpecExpansion:
             ("failure_mtbf_days", 30.0),
             ("seed", 99),
             ("kind", "trace"),
-            ("trace_file", "some.swf"),
+            ("trace_file", str(swf)),
         ]:
             from dataclasses import replace
 
@@ -391,6 +394,39 @@ class TestTraceFileAxis:
         assert deterministic_view(a.records[0].summary) == (
             deterministic_view(b.records[0].summary)
         )
+
+    def test_edited_log_is_a_cache_miss(self, tmp_path):
+        """A cell names its log's bytes: re-running into the same store
+        after the log changed runs the cell again on the new log."""
+        spec = self.spec(tmp_path, seeds=[1], mechanism=[None])
+        first = run_campaign(spec, directory=tmp_path / "c")
+        assert (first.n_cached, first.n_ran) == (0, 1)
+        write_demo_swf(tmp_path / "demo.swf", n_jobs=40)
+        second = run_campaign(spec, directory=tmp_path / "c")
+        assert (second.n_cached, second.n_ran) == (0, 1)
+        assert second.records[0].key != first.records[0].key
+        assert second.records[0].summary_metrics().n_jobs == 40
+        assert first.records[0].summary_metrics().n_jobs == 60
+
+    def test_same_log_at_two_paths_shares_a_key(self, tmp_path):
+        cell = self.spec(tmp_path, seeds=[1], mechanism=[None]).expand()[0]
+        copy = tmp_path / "elsewhere" / "copy.swf"
+        copy.parent.mkdir()
+        copy.write_bytes((tmp_path / "demo.swf").read_bytes())
+        from dataclasses import replace
+
+        moved = replace(cell, trace_file=str(copy))
+        assert moved.key() == cell.key()
+        # the path is kept for people in the config (the stored record)
+        assert moved.config()["trace_file"] == str(copy)
+
+    def test_missing_log_fails_with_its_path(self, tmp_path):
+        cell = self.spec(tmp_path, seeds=[1], mechanism=[None]).expand()[0]
+        from dataclasses import replace
+
+        gone = replace(cell, trace_file=str(tmp_path / "gone.swf"))
+        with pytest.raises(ConfigurationError, match="gone.swf"):
+            gone.key()
 
     def test_swf_axis_alongside_synthetic(self, tmp_path):
         """trace_file is an axis: None and a log path sweep together."""

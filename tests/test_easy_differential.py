@@ -1,12 +1,15 @@
 """Differential tests: EASY planner against the plain reference planner.
 
-``BackfillPlanner.plan`` keeps a running ``loan_total`` instead of
-re-summing the loan pool per candidate, resolves each candidate's
-minimum size once, rejects candidates that cannot fit before calling
-``_fit_backfill``, and takes loans through one ``_split`` helper.  The
-reference below is the plain form: it re-derives every quantity inside
-``_fit_backfill`` for each candidate.  Both must return the same starts,
-with the same sizes, free-pool draws, loans and backfill flags.
+``BackfillPlanner.plan`` runs its backfill phase as one inline loop: it
+keeps a running ``loan_total`` instead of re-summing the loan pool per
+candidate, reads each candidate's size, minimum size and on-demand flag
+once, rejects candidates that cannot fit before predicting a wall,
+tests the shadow-time fit and then the extra-node fit in place, and
+splits a loan across reservations only when the start borrows nodes.
+The reference below is the plain form: its ``_fit_backfill`` re-derives
+every quantity for each candidate and always splits.  Both must return
+the same starts, with the same sizes, free-pool draws, loans and
+backfill flags.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -49,7 +52,7 @@ class RefPlanner:
             job = queue[head_idx]
             if self._min_size(job) > free:
                 break
-            nodes = min(job.max_size, free)
+            nodes = min(job.size, free)
             decisions.append((job.job_id, nodes, nodes, {}, False))
             free -= nodes
             head_idx += 1
@@ -107,7 +110,7 @@ class RefPlanner:
                     need -= take
             return free_used, loans
 
-        nodes = min(job.max_size, avail)
+        nodes = min(job.size, avail)
         free_used, loans = split(nodes)
         end = now + predict_wall(job, nodes)
         if end <= shadow_time + EPS:
@@ -115,7 +118,7 @@ class RefPlanner:
 
         budget = min(free, max(extra, 0)) + loan_total
         if budget >= min_size:
-            nodes = min(job.max_size, budget)
+            nodes = min(job.size, budget)
             free_used = min(nodes, min(free, max(extra, 0)))
             need = nodes - free_used
             loans = {}

@@ -90,7 +90,13 @@ class TestAvailabilityTimeline:
 
 class TestProfileView:
     def test_shadow_matches_brute_force(self):
+        """Every view agrees with the brute force, including a timeline
+        view whose blocks are split at random between the timeline and
+        the reservation overlay: ``shadow`` walks the timeline directly
+        when the overlay is empty and merges the two otherwise, so the
+        split cases check both walks."""
         rng = RngStreams(7).get("shadow-fuzz")
+        split_rng = RngStreams(7).get("shadow-split")
         for _ in range(200):
             n_blocks = int(rng.integers(0, 12))
             blocks = [
@@ -115,9 +121,21 @@ class TestProfileView:
             tl = AvailabilityTimeline()
             for i, (t, n) in enumerate(blocks):
                 tl.set_block(i, t, n)
+            in_timeline = split_rng.random(n_blocks) < 0.5
+            split_tl = AvailabilityTimeline()
+            overlay = []
+            for i, block in enumerate(blocks):
+                if in_timeline[i]:
+                    split_tl.set_block(i, *block)
+                else:
+                    overlay.append(block)
             for view in (
                 ProfileView.from_blocks(now, free, blocks),
                 ProfileView(now, free, timeline=tl),
+                ProfileView(now, free, timeline=split_tl, overlay=overlay),
+                ProfileView(0.0, 0, timeline=split_tl).reset(
+                    now, free, list(overlay)
+                ),
             ):
                 info = view.shadow(need)
                 assert (info.time, info.extra_nodes) == brute()

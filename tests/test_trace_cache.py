@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.obs import enabled_obs
+from repro.util.errors import ConfigurationError
 from repro.workload.spec import WorkloadSpec
 from repro.workload.theta import generate_trace, stream_jobs_from_rows
 from repro.workload.trace_cache import (
@@ -77,6 +78,34 @@ class TestSwfCache:
         first = cache.swf_jobs(swf_path)
         rel = os.path.relpath(swf_path)
         assert cache.swf_jobs(rel) is first
+
+
+class TestSwfDigest:
+    def test_digest_is_the_sha256_of_the_bytes(self, swf_path):
+        import hashlib
+
+        expected = hashlib.sha256(SWF_TEXT.encode()).hexdigest()
+        assert TraceCache().swf_sha256(swf_path) == expected
+
+    def test_hashed_once_until_the_file_changes(self, swf_path, monkeypatch):
+        cache = TraceCache()
+        first = cache.swf_sha256(swf_path)
+        opened = []
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open",
+            lambda *a, **k: opened.append(a[0]) or real_open(*a, **k),
+        )
+        assert cache.swf_sha256(os.path.relpath(swf_path)) == first
+        assert opened == []
+        with real_open(swf_path, "a") as fh:
+            fh.write("5 500 1 600 16 -1 -1 16 1200 -1 1 13 -1 4 -1 -1 -1 -1\n")
+        assert cache.swf_sha256(swf_path) != first
+        assert len(opened) == 1
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="nope.swf"):
+            TraceCache().swf_sha256(str(tmp_path / "nope.swf"))
 
 
 class TestThetaRowsCache:
